@@ -60,13 +60,19 @@ class StageStats:
             name=name,
             count=int(arr.size),
             min_us=float(arr.min()),
-            mean_us=float(arr.mean()),
+            # rounding can put the mean of equal samples one ulp above them
+            mean_us=float(np.clip(arr.mean(), arr.min(), arr.max())),
             p95_us=float(np.percentile(arr, 95)),
             max_us=float(arr.max()),
         )
 
     def validate(self):
-        if not self.max_us >= self.p95_us >= self.mean_us >= self.min_us >= 0.0:
+        # the mean may lie above p95 (one stall among fast samples), so only
+        # orders that hold for every sample set are checked
+        if not (
+            self.max_us >= self.p95_us >= self.min_us >= 0.0
+            and self.max_us >= self.mean_us >= self.min_us
+        ):
             raise ValueError(f"stage {self.name} stats are not ordered: {self}")
 
 

@@ -64,6 +64,20 @@ def _check_dims(burst: RawBurst, config: RadarConfig | None):
         )
 
 
+def _range_spectrum(samples: np.ndarray, window: bool) -> np.ndarray:
+    """(P, N, C) samples -> complex128 (N, P, C) fast-time spectrum, a transposed view."""
+    if window:
+        samples = samples * hann_window(samples.shape[1])[None, :, None]
+    rp = np.fft.fft(samples, axis=1)          # (P, N, C), axis 1 -> range bins
+    return np.transpose(rp, (1, 0, 2)).astype(np.complex128, copy=False)
+
+
+def _doppler_spectrum(rp: np.ndarray) -> np.ndarray:
+    """(N, P, C) range profiles -> center-shifted complex128 range-Doppler."""
+    crd = np.fft.fft(rp, axis=1)
+    return np.fft.fftshift(crd, axes=1)       # zero velocity -> bin P/2
+
+
 def range_profile(
     burst: RawBurst, config: RadarConfig | None = None, window: bool = False
 ) -> RangeProfile:
@@ -74,19 +88,18 @@ def range_profile(
     before the transform (off by default).
     """
     _check_dims(burst, config)
-    samples = burst.data
-    if window:
-        samples = samples * hann_window(samples.shape[1])[None, :, None]
-    rp = np.fft.fft(samples, axis=1)          # (P, N, C), axis 1 -> range bins
-    rp = np.transpose(rp, (1, 0, 2))          # (N, P, C)
-    return RangeProfile(burst_id=burst.burst_id, timestamp_us=burst.timestamp_us, data=rp)
+    return RangeProfile(
+        burst_id=burst.burst_id,
+        timestamp_us=burst.timestamp_us,
+        data=_range_spectrum(burst.data, window),
+    )
 
 
 def complex_range_doppler(rp: RangeProfile) -> CRD:
     """Slow-time FFT per range bin and channel, center-shifted on the Doppler axis."""
-    crd = np.fft.fft(rp.data, axis=1)
-    crd = np.fft.fftshift(crd, axes=1)        # zero velocity -> bin P/2
-    return CRD(burst_id=rp.burst_id, timestamp_us=rp.timestamp_us, data=crd)
+    return CRD(
+        burst_id=rp.burst_id, timestamp_us=rp.timestamp_us, data=_doppler_spectrum(rp.data)
+    )
 
 
 def ard(crd: CRD) -> ARDFrame:
@@ -99,5 +112,12 @@ def ard(crd: CRD) -> ARDFrame:
 def process_burst(
     burst: RawBurst, config: RadarConfig | None = None, window: bool = False
 ) -> ARDFrame:
-    """Full chain: range profile -> complex range-Doppler -> magnitudes."""
-    return ard(complex_range_doppler(range_profile(burst, config, window=window)))
+    """Full chain: range profile -> complex range-Doppler -> magnitudes.
+
+    The same steps as ``ard(complex_range_doppler(range_profile(...)))`` on
+    bare arrays: ``RawBurst`` has already checked the samples, and only the
+    final frame is built and checked.
+    """
+    _check_dims(burst, config)
+    crd = _doppler_spectrum(_range_spectrum(burst.data, window))
+    return ARDFrame(burst_id=burst.burst_id, timestamp_us=burst.timestamp_us, values=np.abs(crd))

@@ -16,26 +16,36 @@ import numpy as np
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(B, H+kh-1, W+kw-1, C) padded input -> (B, H, W, kh*kw*C) columns.
+
+    Column order is (dy, dx, channel), matching ``w.reshape(kh*kw*C, Cout)``.
+    The window view costs nothing; the reshape makes the one copy.
+    """
     b, hp, wp, c = xp.shape
     h, w = hp - kh + 1, wp - kw + 1
-    cols = np.empty((b, h, w, kh * kw * c), dtype=xp.dtype)
-    i = 0
-    for dy in range(kh):
-        for dx in range(kw):
-            cols[..., i * c:(i + 1) * c] = xp[:, dy:dy + h, dx:dx + w, :]
-            i += 1
-    return cols
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, h, w, kh * kw * c)
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """x: (B, H, W, Cin), w: (kh, kw, Cin, Cout), b: (Cout,) -> (B, H, W, Cout)."""
     kh, kw, cin, cout = w.shape
     pad_h, pad_w = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (pad_h, pad_h), (pad_w, pad_w), (0, 0)))
+    bs, h, wd, _ = x.shape
+    xp = np.zeros((bs, h + 2 * pad_h, wd + 2 * pad_w, cin), dtype=x.dtype)
+    xp[:, pad_h:pad_h + h, pad_w:pad_w + wd, :] = x
     cols = _im2col(xp, kh, kw)
-    bs, h, wd, k = cols.shape
-    y = cols.reshape(bs * h * wd, k) @ w.reshape(k, cout) + b
+    y = cols.reshape(bs * h * wd, -1) @ w.reshape(-1, cout)
+    y += b
     return y.reshape(bs, h, wd, cout), (cols, w, x.shape)
+
+
+def conv2d_param_grads(dy: np.ndarray, cache):
+    """Weight and bias gradients of a convolution, without its input gradient."""
+    cols, w, _ = cache
+    dyf = dy.reshape(-1, w.shape[-1])
+    dw = (cols.reshape(dyf.shape[0], -1).T @ dyf).reshape(w.shape)
+    return dw, dyf.sum(axis=0)
 
 
 def conv2d_backward(dy: np.ndarray, cache):
@@ -43,10 +53,8 @@ def conv2d_backward(dy: np.ndarray, cache):
     kh, kw, cin, cout = w.shape
     pad_h, pad_w = kh // 2, kw // 2
     bs, h, wd, k = cols.shape
-    dyf = dy.reshape(bs * h * wd, cout)
-    dw = (cols.reshape(bs * h * wd, k).T @ dyf).reshape(w.shape)
-    db = dyf.sum(axis=0)
-    dcols = (dyf @ w.reshape(k, cout).T).reshape(bs, h, wd, k)
+    dw, db = conv2d_param_grads(dy, cache)
+    dcols = (dy.reshape(bs * h * wd, cout) @ w.reshape(k, cout).T).reshape(bs, h, wd, k)
     dxp = np.zeros((bs, h + 2 * pad_h, wd + 2 * pad_w, cin), dtype=dy.dtype)
     i = 0
     for ddy in range(kh):
@@ -76,27 +84,27 @@ def relu_backward(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def maxpool2_forward(x: np.ndarray):
     """x: (B, H, W, C) with even H, W -> (B, H/2, W/2, C)."""
-    b, h, w, c = x.shape
-    xw = (
-        x.reshape(b, h // 2, 2, w // 2, 2, c)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(b, h // 2, w // 2, c, 4)
+    # np.maximum returns its second argument when both are zeros of either
+    # sign, so the earlier position goes second: a window of zeros then
+    # yields the zero (and its sign) at its first position, as argmax does.
+    y = np.maximum(
+        np.maximum(x[:, 1::2, 1::2], x[:, 1::2, 0::2]),
+        np.maximum(x[:, 0::2, 1::2], x[:, 0::2, 0::2]),
     )
-    idx = xw.argmax(axis=-1)
-    y = np.take_along_axis(xw, idx[..., None], axis=-1)[..., 0]
-    return y, (idx, x.shape)
+    return y, (x, y)
 
 
 def maxpool2_backward(dy: np.ndarray, cache) -> np.ndarray:
-    idx, x_shape = cache
-    b, h, w, c = x_shape
-    dxw = np.zeros((b, h // 2, w // 2, c, 4), dtype=dy.dtype)
-    np.put_along_axis(dxw, idx[..., None], dy[..., None], axis=-1)
-    return (
-        dxw.reshape(b, h // 2, w // 2, c, 2, 2)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(b, h, w, c)
-    )
+    x, y = cache
+    dx = np.zeros(x.shape, dtype=dy.dtype)
+    unrouted = np.ones(y.shape, dtype=bool)
+    # the first position holding the maximum, in argmax order, gets the gradient
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        hit = x[:, i::2, j::2] == y
+        hit &= unrouted
+        np.copyto(dx[:, i::2, j::2], dy, where=hit)
+        unrouted &= ~hit
+    return dx
 
 
 # ---------------------------------------------------------------------------

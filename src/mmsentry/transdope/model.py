@@ -178,27 +178,40 @@ def _check_frames(x: np.ndarray, config: TransDopeConfig, expect_seq: bool):
             )
 
 
+def _keep(result, caches: list | None):
+    """A layer's output; its cache is appended to ``caches`` unless that is None."""
+    y, cache = result
+    if caches is not None:
+        caches.append(cache)
+    return y
+
+
 def _conv_stack_forward(frames: np.ndarray, p: dict, with_cache: bool):
-    """frames: (M, N, P, C) already input-scaled -> (M, N/4, P/4, F)."""
-    c1, cc1 = layers.conv2d_forward(frames, p["conv1_w"], p["conv1_b"])
-    r1, m1 = layers.relu_forward(c1)
-    p1, cp1 = layers.maxpool2_forward(r1)
-    c2, cc2 = layers.conv2d_forward(p1, p["conv2_w"], p["conv2_b"])
-    r2, m2 = layers.relu_forward(c2)
-    p2, cp2 = layers.maxpool2_forward(r2)
-    cache = (cc1, m1, cp1, cc2, m2, cp2) if with_cache else None
-    return p2, cache
+    """frames: (M, N, P, C) already input-scaled -> (M, N/4, P/4, F).
+
+    Without a cache no name stays bound to a layer's cache (im2col columns,
+    ReLU mask, pooling input), so each temporary is freed as soon as the next
+    layer has consumed it.  That keeps the peak of one frame small enough
+    for the allocator to hold on to the memory between frames.
+    """
+    caches = [] if with_cache else None
+    x = frames
+    for conv in ("conv1", "conv2"):
+        x = _keep(layers.conv2d_forward(x, p[conv + "_w"], p[conv + "_b"]), caches)
+        x = _keep(layers.relu_forward(x), caches)
+        x = _keep(layers.maxpool2_forward(x), caches)
+    return x, (tuple(caches) if with_cache else None)
 
 
 def _conv_stack_backward(dout: np.ndarray, cache, grads: dict):
+    """Parameter gradients of the conv stack; the input needs no gradient."""
     cc1, m1, cp1, cc2, m2, cp2 = cache
     d = layers.maxpool2_backward(dout, cp2)
     d = layers.relu_backward(d, m2)
     d, grads["conv2_w"], grads["conv2_b"] = layers.conv2d_backward(d, cc2)
     d = layers.maxpool2_backward(d, cp1)
     d = layers.relu_backward(d, m1)
-    d, grads["conv1_w"], grads["conv1_b"] = layers.conv2d_backward(d, cc1)
-    return d
+    grads["conv1_w"], grads["conv1_b"] = layers.conv2d_param_grads(d, cc1)
 
 
 def _encoder_forward(tokens: np.ndarray, p: dict, prefix: str, heads: int, with_cache: bool):
@@ -272,8 +285,7 @@ def _backward_batch(dlogits: np.ndarray, caches, model: TransDopeModel) -> dict:
         demb, (flat, p["embed_w"])
     )
     dfeats = dflat.reshape(b * t, *cfg.pooled_shape)
-    dframes = _conv_stack_backward(dfeats, conv_cache, grads)
-    # input scaling and reshape need no parameter gradients beyond this point
+    _conv_stack_backward(dfeats, conv_cache, grads)
     return grads
 
 

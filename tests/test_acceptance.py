@@ -13,6 +13,7 @@ import threading
 import time
 
 import numpy as np
+import pytest
 
 import conftest
 
@@ -390,6 +391,7 @@ def _holdout_split(dataset, holdout: int, seed: int):
     return (x[fit], y[fit]), (x[held], y[held])
 
 
+@pytest.mark.slow
 def test_criterion_7_synthetic_learning(tmp_path):
     t0 = time.perf_counter()
     arch = TransDopeConfig()

@@ -37,6 +37,28 @@ def test_stage_stats_reject_empty_and_disorder():
         broken.validate()
 
 
+def test_stage_stats_accept_mean_above_p95():
+    # one stall among 100 samples lifts the mean above p95
+    stats = StageStats.from_samples("decode", [100.0] * 99 + [1e5])
+    assert stats.mean_us > stats.p95_us
+    stats.validate()
+
+
+def test_stage_stats_accept_equal_samples():
+    # the float mean of three 0.1s is one ulp above 0.1
+    assert np.mean([0.1] * 3) > 0.1
+    stats = StageStats.from_samples("decode", [0.1] * 3)
+    assert stats.mean_us == stats.max_us == 0.1
+    stats.validate()
+
+
+def test_stage_stats_reject_mean_outside_range():
+    broken = StageStats(name="dsp", count=2, min_us=1.0, mean_us=4.0,
+                        p95_us=2.0, max_us=3.0)
+    with pytest.raises(ValueError, match="not ordered"):
+        broken.validate()
+
+
 def test_machine_descriptor_mentions_cores():
     assert "cores" in machine_descriptor()
 

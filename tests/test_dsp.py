@@ -172,7 +172,14 @@ def test_dimension_mismatch_rejected():
 
 
 def test_process_burst_composition_identity():
-    burst = random_burst(np.random.default_rng(5))
-    direct = dsp.process_burst(burst, CFG)
-    staged = dsp.ard(dsp.complex_range_doppler(dsp.range_profile(burst, CFG)))
-    assert np.array_equal(direct.values, staged.values)
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=CFG.burst_shape) + 1j * rng.normal(size=CFG.burst_shape)
+    for dtype in (np.complex128, np.complex64):
+        burst = RawBurst(burst_id=3, timestamp_us=9, data=data.astype(dtype))
+        for window in (False, True):
+            direct = dsp.process_burst(burst, CFG, window=window)
+            staged = dsp.ard(
+                dsp.complex_range_doppler(dsp.range_profile(burst, CFG, window=window))
+            )
+            assert direct.values.tobytes() == staged.values.tobytes(), (dtype, window)
+            assert (direct.burst_id, direct.timestamp_us) == (3, 9)

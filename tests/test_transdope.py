@@ -1,6 +1,7 @@
 """The sequence classifier: shapes, closed-form sizes, gradients, training."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,13 @@ from mmsentry.transdope import (
 )
 from mmsentry.transdope import layers
 from mmsentry.transdope.model import _backward_batch, _forward_batch, param_spec
+
+from oracles import (
+    oracle_conv2d_forward,
+    oracle_im2col,
+    oracle_maxpool2_backward,
+    oracle_maxpool2_forward,
+)
 
 TINY = TransDopeConfig(
     seq_len=2,
@@ -350,6 +358,67 @@ def test_gradients_match_finite_differences_sampled():
 
 
 # ---------------------------------------------------------------------------
+# Strided layers against the loop im2col and argmax pooling references
+
+DEFAULT = TransDopeConfig()
+
+
+def pool_input(kind, batch, seed):
+    """A (batch, 64, 16, 32) pooling input, the shape of the first pool."""
+    shape = (batch, DEFAULT.range_bins, DEFAULT.doppler_bins, DEFAULT.conv_filters)
+    if kind == "relu":
+        # -0.0 where the pre-activation is negative: windows of zeros
+        x = rng(seed).normal(size=shape)
+    else:
+        # small integers: +0.0 and -0.0 zeros and repeated positive maxima
+        x = rng(seed).integers(-2, 3, size=shape).astype(np.float64)
+    return layers.relu_forward(x)[0]
+
+
+@pytest.mark.parametrize("batch", [1, 64])
+def test_conv2d_forward_matches_loop_im2col(batch):
+    k, c, f = DEFAULT.conv_kernel, DEFAULT.channels, DEFAULT.conv_filters
+    for cin, h, w in ((c, 64, 16), (f, 32, 8)):
+        x = rng(batch).uniform(0.0, 1.0, (batch, h, w, cin))
+        wt = rng(batch + 1).normal(size=(k, k, cin, f))
+        b = rng(batch + 2).normal(size=f)
+        y, (cols, _, _) = layers.conv2d_forward(x, wt, b)
+        assert y.tobytes() == oracle_conv2d_forward(x, wt, b).tobytes()
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        assert cols.tobytes() == oracle_im2col(xp, k, k).tobytes()
+
+
+def test_conv2d_param_grads_match_full_backward():
+    x = rng(20).uniform(0.0, 1.0, (4, 8, 4, 3))
+    _, cache = layers.conv2d_forward(x, rng(21).normal(size=(3, 3, 3, 5)), np.zeros(5))
+    dy = rng(22).normal(size=(4, 8, 4, 5))
+    _, dw, db = layers.conv2d_backward(dy, cache)
+    pw, pb = layers.conv2d_param_grads(dy, cache)
+    assert pw.tobytes() == dw.tobytes()
+    assert pb.tobytes() == db.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["relu", "ties"])
+@pytest.mark.parametrize("batch", [1, 64])
+def test_maxpool2_matches_argmax_reference(kind, batch):
+    x = pool_input(kind, batch, seed=batch)
+    y, cache = layers.maxpool2_forward(x)
+    want_y, idx = oracle_maxpool2_forward(x)
+    assert y.tobytes() == want_y.tobytes()
+    dy = rng(batch + 7).normal(size=y.shape)
+    dx = layers.maxpool2_backward(dy, cache)
+    assert dx.tobytes() == oracle_maxpool2_backward(dy, idx, x.shape).tobytes()
+
+    # the input really holds the ties the tie-break is about
+    windows = np.stack([x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)])
+    ties = (windows == y).sum(axis=0) > 1
+    assert np.any(ties & (y == 0.0))
+    if kind == "ties":
+        assert np.any(ties & (y > 0.0))
+        assert np.any(np.signbit(x)) and np.any((x == 0.0) & ~np.signbit(x))
+
+
+# ---------------------------------------------------------------------------
 # Sliding-window streaming inference
 
 
@@ -368,6 +437,21 @@ def test_sliding_classifier_matches_batch_forward():
     clf.reset()
     assert len(clf) == 0
     assert clf.push(frames[0]) is None
+
+
+def test_sliding_push_peak_memory_under_one_mib():
+    """One warm push at the default size holds no layer cache past its use."""
+    clf = SlidingClassifier(TransDopeModel.initialize(DEFAULT, seed=0))
+    frame = rng(16).uniform(0.0, 3.0, DEFAULT.frame_shape)
+    for _ in range(DEFAULT.seq_len):
+        clf.push(frame)
+    tracemalloc.start()
+    try:
+        clf.push(frame)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"one push peaked at {peak / 1024:.0f} KiB"
 
 
 # ---------------------------------------------------------------------------
