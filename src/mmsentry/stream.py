@@ -5,7 +5,7 @@ Frame layout, all integers little-endian:
     offset  size  field
     0       4     magic "MMSE"
     4       2     version (u16)
-    6       2     kind (u16): 1=burst, 2=detection, 3=config
+    6       2     kind (u16): 1=burst, 3=config
     8       4     burst_id (u32)
     12      8     timestamp_us (u64)
     20      4     payload_len (u32)
@@ -26,7 +26,8 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +39,11 @@ MAGIC = b"MMSE"
 VERSION = 1
 
 KIND_BURST = 1
-KIND_DETECTION = 2
-KIND_CONFIG = 3
+KIND_CONFIG = 3  # 2 was a detection kind that nothing sent; do not reuse
 
 _HEADER = struct.Struct("<4sHHIQI")
 _CRC = struct.Struct("<I")
 _CONFIG_PAYLOAD = struct.Struct("<HHHdddd")
-_DETECTION_PAYLOAD = struct.Struct("<IIdBQ")
 
 MAX_PAYLOAD = 1 << 26  # corruption guard; a default burst is ~24 KiB
 
@@ -268,21 +267,6 @@ def decode_config_payload(payload: bytes) -> RadarConfig:
         center_freq_hz=f0,
         bandwidth_hz=bw,
     )
-
-
-def encode_detection_payload(det: Detection) -> bytes:
-    return _DETECTION_PAYLOAD.pack(
-        det.first_burst_id, det.last_burst_id, det.probability, det.decision, det.latency_us
-    )
-
-
-def decode_detection_payload(payload: bytes) -> Detection:
-    if len(payload) != _DETECTION_PAYLOAD.size:
-        raise ValueError(
-            f"detection payload is {len(payload)} bytes, expected {_DETECTION_PAYLOAD.size}"
-        )
-    first, last, prob, decision, latency = _DETECTION_PAYLOAD.unpack(payload)
-    return Detection(first, last, prob, decision, latency)
 
 
 # ---------------------------------------------------------------------------
@@ -593,14 +577,16 @@ class ConsumerStats:
     other_errors: int = 0
     skipped_bursts: int = 0
     order_regressions: int = 0
-    latencies_us: list[int] = field(default_factory=list)
 
 
 class BurstConsumer:
     """Connects to a producer, windows ARD frames, and emits detections.
 
     With no model attached the consumer still decodes and runs the DSP
-    chain (transport soak mode); detections then never fire.
+    chain (transport soak mode); detections then never fire.  A config whose
+    ARD frames do not fit the model leaves no usable config: bursts count as
+    skipped until a config that fits arrives.  Every config frame restarts
+    the window, so no window spans two configs.
     """
 
     def __init__(
@@ -613,18 +599,25 @@ class BurstConsumer:
     ):
         self.endpoint = endpoint
         self.model = model
-        self.config = config
         self.rcvbuf = rcvbuf
         self.connect_timeout = connect_timeout
         self.stats = ConsumerStats()
         self._sock: socket.socket | None = None
         self._window = None
-        self._window_ids: list[int] = []
+        self._window_ids: deque[int] = deque()
         self._last_id: int | None = None
         if model is not None:
             from .transdope.model import SlidingClassifier
 
             self._window = SlidingClassifier(model)
+            self._window_ids = deque(maxlen=model.config.seq_len)
+        self.config = self._usable(config)
+
+    def _usable(self, config: RadarConfig | None) -> RadarConfig | None:
+        """``config`` if the model can classify its frames, else None."""
+        if config is None or self.model is None:
+            return config
+        return config if config.ard_shape == self.model.config.frame_shape else None
 
     def connect(self):
         host, port = parse_endpoint(self.endpoint)
@@ -673,7 +666,10 @@ class BurstConsumer:
             self.stats.frames += 1
             if frame.kind == KIND_CONFIG:
                 self.stats.configs += 1
-                self.config = decode_config_payload(frame.payload)
+                self.config = self._usable(decode_config_payload(frame.payload))
+                if self._window is not None:
+                    self._window.reset()
+                    self._window_ids.clear()
                 continue
             if frame.kind != KIND_BURST:
                 continue
@@ -703,13 +699,10 @@ class BurstConsumer:
             return None
         probability = self._window.push(ard.values)
         self._window_ids.append(frame.burst_id)
-        window = self.model.config.seq_len
-        self._window_ids = self._window_ids[-window:]
         if probability is None:
             return None
         latency_us = (time.perf_counter_ns() - started) // 1000
         self.stats.detections += 1
-        self.stats.latencies_us.append(int(latency_us))
         return Detection(
             first_burst_id=self._window_ids[0],
             last_burst_id=frame.burst_id,
@@ -734,22 +727,3 @@ def write_detections_csv(path: str | Path, detections) -> int:
             )
             count += 1
     return count
-
-
-def run_consumer(
-    endpoint: str,
-    model_path: str | Path | None = None,
-    max_bursts: int | None = None,
-    config: RadarConfig | None = None,
-):
-    """Generator of Detection frames from a live producer."""
-    model = None
-    if model_path is not None:
-        from .transdope.checkpoint import load_model
-
-        model = load_model(model_path)
-    consumer = BurstConsumer(endpoint, model=model, config=config)
-    try:
-        yield from consumer.detections(max_bursts=max_bursts)
-    finally:
-        consumer.close()

@@ -10,13 +10,10 @@ from .model import (
     TransDopeModel,
     classify_tokens,
     embed_frame,
-    embed_tokens,
-    encoder_layer_forward,
     forward,
     forward_batch,
     param_count,
     positional_table,
-    time_conv_forward,
 )
 from .training import (
     EpochStats,
@@ -38,13 +35,10 @@ __all__ = [
     "TransDopeModel",
     "classify_tokens",
     "embed_frame",
-    "embed_tokens",
-    "encoder_layer_forward",
     "forward",
     "forward_batch",
     "param_count",
     "positional_table",
-    "time_conv_forward",
     "EpochStats",
     "PretrainResult",
     "TrainConfig",

@@ -220,13 +220,6 @@ def attention_backward(dy: np.ndarray, cache, p: dict):
     return dx, grads
 
 
-def attention_weights(x: np.ndarray, p: dict, prefix: str, heads: int) -> np.ndarray:
-    """The (B, H, T, T) softmax attention matrix, for inspection and tests."""
-    q = _split_heads(linear_forward(x, p[prefix + "q_w"], p[prefix + "q_b"])[0], heads)
-    k = _split_heads(linear_forward(x, p[prefix + "k_w"], p[prefix + "k_b"])[0], heads)
-    return softmax((q @ k.swapaxes(-1, -2)) / np.sqrt(q.shape[-1]))
-
-
 # ---------------------------------------------------------------------------
 # Width-k convolution along the token axis (same zero padding)
 
@@ -236,7 +229,8 @@ def token_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     kw, d, dout = w.shape
     pad = kw // 2
     bs, t, _ = x.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+    xp = np.zeros((bs, t + 2 * pad, d), dtype=x.dtype)
+    xp[:, pad:pad + t, :] = x
     y = np.tile(b, (bs, t, 1)).astype(x.dtype)
     for j in range(kw):
         y += xp[:, j:j + t, :] @ w[j]

@@ -14,6 +14,10 @@ Global average pooling over tokens feeds a single sigmoid output unit.
 Inputs are scaled by 1 / (range_bins * doppler_bins) on entry so raw
 range-Doppler magnitudes (whose peaks grow with the FFT sizes) land in a
 range where the fixed learning-rate recipe is stable.
+
+The forward pass is two stages, and batch inference, the sliding window and
+training all compose them: :func:`embed_frame` maps frames to position-free
+tokens, and :func:`classify_tokens` maps a token sequence to logits.
 """
 
 from __future__ import annotations
@@ -166,16 +170,10 @@ def param_count(model: TransDopeModel) -> int:
     return sum(int(p.size) for p in model.params.values())
 
 
-def _check_frames(x: np.ndarray, config: TransDopeConfig, expect_seq: bool):
-    if expect_seq:
-        want = (config.seq_len, *config.frame_shape)
-        if x.shape[-4:] != want or x.ndim not in (4, 5):
-            raise ValueError(f"expected sequence shaped (..., {want}), got {x.shape}")
-    else:
-        if x.shape[-3:] != config.frame_shape:
-            raise ValueError(
-                f"expected frames shaped (..., {config.frame_shape}), got {x.shape}"
-            )
+def _check_sequences(x: np.ndarray, config: TransDopeConfig):
+    want = (config.seq_len, *config.frame_shape)
+    if x.shape[-4:] != want or x.ndim not in (4, 5):
+        raise ValueError(f"expected sequence shaped (..., {want}), got {x.shape}")
 
 
 def _keep(result, caches: list | None):
@@ -244,34 +242,59 @@ def _encoder_backward(dy: np.ndarray, cache, p: dict, grads: dict):
     return dtokens + dx  # residual
 
 
-def _forward_batch(x: np.ndarray, model: TransDopeModel, with_cache: bool):
-    """x: (B, T, N, P, C) raw magnitudes -> (logits (B,), caches)."""
+def embed_frame(model: TransDopeModel, frames: np.ndarray, caches: list | None = None):
+    """(M, N, P, C) raw magnitudes -> (M, embed_dim) position-free tokens.
+
+    Given a list, appends ``flat`` and the conv-stack cache for backward.
+    """
+    cfg = model.config
+    scaled = np.asarray(frames, dtype=np.float64) * cfg.input_scale
+    feats, conv_cache = _conv_stack_forward(scaled, model.params, caches is not None)
+    flat = feats.reshape(len(feats), cfg.feature_count)
+    if caches is not None:
+        caches.extend((flat, conv_cache))
+    emb, _ = layers.linear_forward(flat, model.params["embed_w"], model.params["embed_b"])
+    return emb
+
+
+def classify_tokens(model: TransDopeModel, tokens: np.ndarray, caches: list | None = None):
+    """(B, T, embed_dim) position-free tokens -> (B,) logits.
+
+    Given a list, appends ``pooled`` and the encoder caches for backward.
+    """
     cfg = model.config
     p = model.params
-    b, t = x.shape[:2]
-    scaled = np.asarray(x, dtype=np.float64) * cfg.input_scale
-    frames = scaled.reshape(b * t, *cfg.frame_shape)
-    feats, conv_cache = _conv_stack_forward(frames, p, with_cache)
-    flat = feats.reshape(b * t, cfg.feature_count)
-    emb, _ = layers.linear_forward(flat, p["embed_w"], p["embed_b"])
-    tokens = emb.reshape(b, t, cfg.embed_dim) + model.pos_table
+    x = tokens + model.pos_table
     enc_caches = []
     for i in range(cfg.encoder_layers):
-        tokens, cache = _encoder_forward(tokens, p, f"l{i}_", cfg.heads, with_cache)
+        x, cache = _encoder_forward(x, p, f"l{i}_", cfg.heads, caches is not None)
         enc_caches.append(cache)
-    pooled = tokens.mean(axis=1)
+    pooled = x.mean(axis=1)
     logits, _ = layers.linear_forward(pooled, p["head_w"], p["head_b"])
     logits = logits[:, 0]
     if not np.all(np.isfinite(logits)):
         raise NumericsError("forward pass produced a non-finite logit")
-    caches = (flat, tokens, pooled, conv_cache, enc_caches, (b, t)) if with_cache else None
+    if caches is not None:
+        caches.extend((pooled, enc_caches))
+    return logits
+
+
+def _forward_batch(x: np.ndarray, model: TransDopeModel, with_cache: bool):
+    """x: (B, T, N, P, C) raw magnitudes -> (logits (B,), caches)."""
+    cfg = model.config
+    b, t = x.shape[:2]
+    caches = [] if with_cache else None
+    emb = embed_frame(model, x.reshape(b * t, *cfg.frame_shape), caches)
+    logits = classify_tokens(model, emb.reshape(b, t, cfg.embed_dim), caches)
     return logits, caches
 
 
 def _backward_batch(dlogits: np.ndarray, caches, model: TransDopeModel) -> dict:
     cfg = model.config
     p = model.params
-    flat, tokens_final, pooled, conv_cache, enc_caches, (b, t) = caches
+    flat, conv_cache, pooled, enc_caches = caches
+    b = dlogits.shape[0]
+    t = flat.shape[0] // b
     grads: dict[str, np.ndarray] = {}
 
     dpooled, grads["head_w"], grads["head_b"] = layers.linear_backward(
@@ -298,55 +321,9 @@ def _as_values(seq) -> np.ndarray:
     return np.asarray(getattr(seq, "values", seq))
 
 
-def time_conv_forward(seq, model: TransDopeModel) -> np.ndarray:
-    """Shared-weight conv/pool stack applied to each frame of one sequence.
-
-    seq_values: (T, N, P, C) -> (T, N/4, P/4, conv_filters).
-    """
-    cfg = model.config
-    seq_values = _as_values(seq)
-    _check_frames(seq_values, cfg, expect_seq=False)
-    if seq_values.ndim != 4 or seq_values.shape[0] != cfg.seq_len:
-        raise ValueError(
-            f"expected exactly {cfg.seq_len} frames, got shape {seq_values.shape}"
-        )
-    frames = np.asarray(seq_values, dtype=np.float64) * cfg.input_scale
-    feats, _ = _conv_stack_forward(frames, model.params, with_cache=False)
-    return feats
-
-
-def embed_tokens(features: np.ndarray, model: TransDopeModel) -> np.ndarray:
-    """Flatten per-frame features, project to the embedding, add positions.
-
-    features: (T, N/4, P/4, F) or (T, feature_count) -> (T, embed_dim).
-    """
-    cfg = model.config
-    t = features.shape[0]
-    flat = features.reshape(t, -1)
-    if t != cfg.seq_len or flat.shape[1] != cfg.feature_count:
-        raise ValueError(
-            f"expected ({cfg.seq_len}, {cfg.feature_count}) features, got {features.shape}"
-        )
-    emb, _ = layers.linear_forward(flat, model.params["embed_w"], model.params["embed_b"])
-    return emb + model.pos_table
-
-
-def encoder_layer_forward(
-    tokens: np.ndarray, model: TransDopeModel, layer: int
-) -> np.ndarray:
-    """One pre-norm encoder block; tokens: (T, D) or (B, T, D)."""
-    cfg = model.config
-    if not 0 <= layer < cfg.encoder_layers:
-        raise ValueError(f"layer {layer} out of range [0, {cfg.encoder_layers})")
-    squeeze = tokens.ndim == 2
-    x = tokens[None] if squeeze else tokens
-    y, _ = _encoder_forward(x, model.params, f"l{layer}_", cfg.heads, with_cache=False)
-    return y[0] if squeeze else y
-
-
 def forward_batch(x: np.ndarray, model: TransDopeModel) -> np.ndarray:
     """Probabilities for a batch of sequences; x: (B, T, N, P, C) -> (B,)."""
-    _check_frames(x, model.config, expect_seq=True)
+    _check_sequences(x, model.config)
     if x.ndim != 5:
         raise ValueError(f"expected a batch of sequences, got shape {x.shape}")
     logits, _ = _forward_batch(x, model, with_cache=False)
@@ -356,7 +333,7 @@ def forward_batch(x: np.ndarray, model: TransDopeModel) -> np.ndarray:
 def forward(seq, model: TransDopeModel) -> float:
     """Probability of the metal-present class for one (T, N, P, C) sequence."""
     seq_values = _as_values(seq)
-    _check_frames(seq_values, model.config, expect_seq=True)
+    _check_sequences(seq_values, model.config)
     if seq_values.ndim != 4:
         raise ValueError(f"expected a single sequence, got shape {seq_values.shape}")
     return float(forward_batch(seq_values[None], model)[0])
@@ -364,33 +341,6 @@ def forward(seq, model: TransDopeModel) -> float:
 
 # ---------------------------------------------------------------------------
 # Streaming inference over a sliding window
-
-
-def embed_frame(model: TransDopeModel, frame) -> np.ndarray:
-    """Position-independent token for one frame: conv stack + embedding."""
-    cfg = model.config
-    frame_values = _as_values(frame)
-    _check_frames(frame_values, cfg, expect_seq=False)
-    frames = np.asarray(frame_values, dtype=np.float64)[None] * cfg.input_scale
-    feats, _ = _conv_stack_forward(frames, model.params, with_cache=False)
-    emb, _ = layers.linear_forward(
-        feats.reshape(1, cfg.feature_count), model.params["embed_w"], model.params["embed_b"]
-    )
-    return emb[0]
-
-
-def classify_tokens(model: TransDopeModel, tokens: np.ndarray) -> float:
-    """Probability from (T, embed_dim) position-independent tokens."""
-    cfg = model.config
-    x = (tokens + model.pos_table)[None]
-    for i in range(cfg.encoder_layers):
-        x, _ = _encoder_forward(x, model.params, f"l{i}_", cfg.heads, with_cache=False)
-    pooled = x.mean(axis=1)
-    logits, _ = layers.linear_forward(pooled, model.params["head_w"], model.params["head_b"])
-    logit = logits[0, 0]
-    if not np.isfinite(logit):
-        raise NumericsError("forward pass produced a non-finite logit")
-    return float(layers.sigmoid(np.array([logit]))[0])
 
 
 class SlidingClassifier:
@@ -417,7 +367,13 @@ class SlidingClassifier:
 
     def push(self, frame_values: np.ndarray) -> float | None:
         """Add a frame; returns the window probability once full, else None."""
-        self._tokens.append(embed_frame(self.model, frame_values))
+        frame = _as_values(frame_values)
+        if frame.shape != self.model.config.frame_shape:
+            raise ValueError(
+                f"expected a frame shaped {self.model.config.frame_shape}, got {frame.shape}"
+            )
+        self._tokens.append(embed_frame(self.model, frame[None])[0])
         if not self.ready:
             return None
-        return classify_tokens(self.model, np.stack(tuple(self._tokens)))
+        logits = classify_tokens(self.model, np.stack(tuple(self._tokens))[None])
+        return float(layers.sigmoid(logits)[0])

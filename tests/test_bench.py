@@ -1,5 +1,9 @@
 """Benchmark harness: stage statistics, report invariants, small runs."""
 
+import importlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -122,3 +126,16 @@ def test_run_bench_rejects_mismatched_model():
         run_bench(small_model(), bursts=10, config=RadarConfig())
     with pytest.raises(ValueError, match="bursts"):
         run_bench(small_model(), bursts=0, config=SMALL)
+
+
+def test_perfbench_traced_functions_exist():
+    """Every function perfbench/tracing.py wraps by name still exists."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TRACED
+    for module_path, owner_name, attr, name in tracing.TRACED:
+        module = importlib.import_module(module_path)
+        owner = getattr(module, owner_name) if owner_name else module
+        assert callable(getattr(owner, attr, None)), f"{name}: {attr} is gone from {module_path}"

@@ -1,6 +1,7 @@
 """Wire protocol, framing resync, and the producer/consumer pair."""
 
 import io
+import socket
 import threading
 import time
 
@@ -24,14 +25,11 @@ from mmsentry.stream import (
     WireFrame,
     decode_burst_payload,
     decode_config_payload,
-    decode_detection_payload,
     decode_frame,
     encode_burst_payload,
     encode_config_payload,
-    encode_detection_payload,
     encode_frame,
     parse_endpoint,
-    run_consumer,
     write_detections_csv,
 )
 from mmsentry.transdope import TransDopeConfig, TransDopeModel
@@ -227,14 +225,6 @@ def test_config_payload_round_trip():
         assert back == config
     with pytest.raises(ValueError):
         decode_config_payload(b"\x00" * 10)
-
-
-def test_detection_payload_round_trip():
-    det = Detection(first_burst_id=3, last_burst_id=10, probability=0.625,
-                    decision=1, latency_us=1234)
-    assert decode_detection_payload(encode_detection_payload(det)) == det
-    with pytest.raises(ValueError):
-        decode_detection_payload(b"")
 
 
 def test_detection_validation():
@@ -449,13 +439,67 @@ def test_consumer_reconnect_resumes_id_sequence():
     assert producer.stats.reconnects == 1
 
 
-def test_run_consumer_terminates_on_producer_eof():
-    src = SceneSource("person", seed=5, config=SMALL)
-    producer, thread, endpoint = start_producer(src, rate_hz=0.0, max_bursts=12)
-    detections = list(run_consumer(endpoint, max_bursts=12))
+def test_consumer_survives_config_that_does_not_fit_model():
+    # the model classifies (8, 4, 1) frames; this producer makes (16, 4, 1)
+    mismatched = RadarConfig(chirps_per_burst=4, samples_per_chirp=16, channels=1)
+    src = SceneSource("person_with_metal", seed=6, config=mismatched)
+    producer, thread, endpoint = start_producer(src, rate_hz=0.0, max_bursts=20)
+    consumer = BurstConsumer(endpoint, model=small_model())
+    detections = list(consumer.detections())
+    consumer.close()
     thread.join(timeout=10.0)
+
     assert detections == []
-    assert producer.stats.sent == 12
+    assert consumer.config is None  # no usable config
+    assert consumer.stats.configs == 1
+    assert consumer.stats.skipped_bursts == 20
+    assert consumer.stats.bursts == 0
+    assert producer.stats.sent == 20
+
+
+def serve_once(blob: bytes) -> tuple[threading.Thread, str]:
+    """Accept one connection on loopback, send ``blob``, then close."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def run():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                conn.sendall(blob)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, f"127.0.0.1:{port}"
+
+
+def test_config_frame_restarts_window():
+    # fitting config, 9 bursts; unfitting config, 3 bursts; fitting config,
+    # 8 bursts: windows never span a config frame
+    big = RadarConfig(chirps_per_burst=4, samples_per_chirp=16, channels=1)
+    fit_src = SceneSource("person", seed=7, config=SMALL)
+    big_src = SceneSource("person", seed=7, config=big)
+    blob, next_id = [], 0
+    for config, source, count in ((SMALL, fit_src, 9), (big, big_src, 3), (SMALL, fit_src, 8)):
+        blob.append(encode_frame(WireFrame(
+            kind=stream.KIND_CONFIG, burst_id=next_id, timestamp_us=0,
+            payload=encode_config_payload(config),
+        )))
+        for _ in range(count):
+            blob.append(source.next_payload(next_id, next_id))
+            next_id += 1
+    thread, endpoint = serve_once(b"".join(blob))
+    consumer = BurstConsumer(endpoint, model=small_model())
+    detections = list(consumer.detections())
+    consumer.close()
+    thread.join(timeout=10.0)
+
+    windows = [(d.first_burst_id, d.last_burst_id) for d in detections]
+    assert windows == [(0, 7), (1, 8), (12, 19)]
+    assert consumer.stats.configs == 3
+    assert consumer.stats.skipped_bursts == 3
+    assert consumer.stats.bursts == 17
+    assert consumer.config == SMALL
 
 
 # ---------------------------------------------------------------------------

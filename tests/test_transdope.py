@@ -16,8 +16,8 @@ from mmsentry.transdope import (
     TransDopeConfig,
     TransDopeModel,
     apply_pretrained,
-    embed_tokens,
-    encoder_layer_forward,
+    classify_tokens,
+    embed_frame,
     evaluate,
     forward,
     forward_batch,
@@ -27,7 +27,6 @@ from mmsentry.transdope import (
     positional_table,
     pretrain_time_convs,
     save_model,
-    time_conv_forward,
     train,
 )
 from mmsentry.transdope import layers
@@ -165,46 +164,61 @@ def test_positional_table_values():
 
 def test_time_conv_shapes_and_zero_input():
     model = TransDopeModel.initialize(TINY, seed=0)
-    feats = time_conv_forward(np.zeros((2, 8, 4, 2)), model)
-    assert feats.shape == (2, 2, 1, 4)
-    assert np.all(feats == 0.0)  # zero biases at init
+    tokens = embed_frame(model, np.zeros((2, 8, 4, 2)))
+    assert tokens.shape == (2, TINY.embed_dim)
+    assert np.all(tokens == 0.0)  # zero conv and embedding biases at init
 
 
 def test_time_conv_is_shared_across_frames():
     model = TransDopeModel.initialize(TINY, seed=0)
     frame = rng(1).uniform(0.0, 2.0, (8, 4, 2))
-    feats = time_conv_forward(np.stack([frame, frame]), model)
-    assert np.array_equal(feats[0], feats[1])
+    tokens = embed_frame(model, np.stack([frame, frame]))
+    assert tokens[0].tobytes() == tokens[1].tobytes()
 
 
 def test_time_conv_rejects_wrong_shapes():
-    model = TransDopeModel.initialize(TINY, seed=0)
+    clf = SlidingClassifier(TransDopeModel.initialize(TINY, seed=0))
     with pytest.raises(ValueError):
-        time_conv_forward(np.zeros((2, 8, 4, 3)), model)
+        clf.push(np.zeros((8, 4, 3)))
     with pytest.raises(ValueError):
-        time_conv_forward(np.zeros((3, 8, 4, 2)), model)
+        clf.push(np.zeros((1, 8, 4, 2)))
+    assert len(clf) == 0
 
 
 def test_embed_tokens_zero_features_give_positional_table():
-    model = TransDopeModel.initialize(TINY, seed=0)
-    tokens = embed_tokens(np.zeros((2, 2, 1, 4)), model)
-    assert tokens.shape == (2, 8)
-    assert np.array_equal(tokens, model.pos_table)  # embed_b is zero at init
-    assert np.array_equal(tokens, embed_tokens(np.zeros((2, 8)), model))
+    # with no encoder blocks the pooled token is the mean of what the head
+    # sees, so zero frames leave exactly the mean positional row there
+    cfg = TransDopeConfig(
+        seq_len=2, range_bins=8, doppler_bins=4, channels=2,
+        conv_filters=4, embed_dim=8, heads=2, encoder_layers=0,
+    )
+    model = TransDopeModel.initialize(cfg, seed=0)
+    tokens = embed_frame(model, np.zeros((2, 8, 4, 2)))
+    caches: list = []
+    classify_tokens(model, tokens[None], caches)
+    pooled, _ = caches
+    assert np.array_equal(pooled[0], model.pos_table.mean(axis=0))
 
 
 def test_embed_tokens_are_position_dependent():
     model = TransDopeModel.initialize(TINY, seed=0)
-    feats = rng(2).uniform(0.0, 1.0, (2, 8))
-    straight = embed_tokens(feats, model)
-    swapped = embed_tokens(feats[::-1], model)
-    assert not np.allclose(swapped, straight[::-1])
+    tokens = rng(2).uniform(0.0, 1.0, (1, 2, 8))
+    unplaced = TransDopeModel(config=TINY, params=model.params, pos_table=np.zeros((2, 8)))
+    assert classify_tokens(model, tokens) != pytest.approx(
+        classify_tokens(unplaced, tokens), abs=1e-12
+    )
+
+
+def attention_matrix(tokens, params, prefix, heads):
+    """The (B, H, T, T) softmax weights that attention_forward caches."""
+    _, cache = layers.attention_forward(tokens, params, prefix, heads)
+    return cache[4]
 
 
 def test_attention_rows_are_distributions():
     model = TransDopeModel.initialize(TransDopeConfig(), seed=1)
     tokens = rng(3).normal(size=(2, 8, 128))
-    attn = layers.attention_weights(tokens, model.params, "l0_", model.config.heads)
+    attn = attention_matrix(tokens, model.params, "l0_", model.config.heads)
     assert attn.shape == (2, 2, 8, 8)
     assert np.all(attn >= 0.0)
     assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
@@ -213,7 +227,7 @@ def test_attention_rows_are_distributions():
 def test_attention_uniform_over_identical_tokens():
     model = TransDopeModel.initialize(TransDopeConfig(), seed=1)
     tokens = np.tile(rng(4).normal(size=(1, 1, 128)), (1, 8, 1))
-    attn = layers.attention_weights(tokens, model.params, "l1_", model.config.heads)
+    attn = attention_matrix(tokens, model.params, "l1_", model.config.heads)
     assert np.allclose(attn, 1.0 / 8.0, atol=1e-12)
 
 
@@ -224,19 +238,6 @@ def test_attention_is_permutation_equivariant():
     out, _ = layers.attention_forward(tokens, model.params, "l0_", 2)
     out_perm, _ = layers.attention_forward(tokens[:, perm], model.params, "l0_", 2)
     assert np.allclose(out_perm, out[:, perm], atol=1e-12)
-
-
-def test_encoder_layer_shapes_and_bounds():
-    model = TransDopeModel.initialize(TINY, seed=0)
-    tokens = rng(7).normal(size=(2, 8))
-    out = encoder_layer_forward(tokens, model, layer=0)
-    assert out.shape == (2, 8)
-    batched = encoder_layer_forward(tokens[None], model, layer=0)
-    assert np.array_equal(batched[0], out)
-    with pytest.raises(ValueError):
-        encoder_layer_forward(tokens, model, layer=2)
-    with pytest.raises(ValueError):
-        encoder_layer_forward(tokens, model, layer=-1)
 
 
 def test_pooling_is_frame_order_invariant_without_encoder():
