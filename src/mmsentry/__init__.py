@@ -2,7 +2,7 @@
 from-scratch attention classifier for concealed-metal detection, and the
 streaming plumbing to run it live."""
 
-from .radar_core import ConfigError, RadarConfig, RawBurst, ARDFrame, ARDSequence
+from .radar_core import ConfigError, RadarConfig, RawBurst, ARDFrame
 
 __version__ = "0.1.0"
 
@@ -11,6 +11,5 @@ __all__ = [
     "RadarConfig",
     "RawBurst",
     "ARDFrame",
-    "ARDSequence",
     "__version__",
 ]

@@ -1,19 +1,15 @@
 """In-process latency/throughput benchmark for the burst pipeline.
 
 Feeds pre-encoded wire frames through decode -> range-Doppler DSP ->
-inference and reports per-stage latency percentiles, sustained throughput,
-and how inference time scales from one 8-frame sequence to two (batched in a
-single call, not two sequential calls).  The default mode is single-threaded;
-pipeline mode runs the three stages as threads joined by depth-1 hand-off
-queues and reports end-to-end latency under overlap.
+inference on one thread and reports per-stage latency percentiles,
+sustained throughput, and how inference time scales from one 8-frame
+sequence to two (batched in a single call, not two sequential calls).
 """
 
 from __future__ import annotations
 
 import os
 import platform
-import queue
-import threading
 import time
 from dataclasses import dataclass
 
@@ -80,7 +76,6 @@ class StageStats:
 class BenchReport:
     machine: str
     bursts: int
-    pipeline: bool
     throughput_bps: float
     drops: int
     decode: StageStats
@@ -90,7 +85,6 @@ class BenchReport:
     batch1_ms: float
     batch2_ms: float
     batch_ratio: float
-    seq_infer_ms: float
     per_frame_ms: float
 
     def validate(self):
@@ -98,20 +92,18 @@ class BenchReport:
             stage.validate()
         if not self.throughput_bps > 0:
             raise ValueError(f"throughput must be positive, got {self.throughput_bps}")
-        if not self.pipeline:
-            # stages are sub-spans of the same walk through each burst
-            stage_sum = self.decode.mean_us + self.dsp.mean_us + self.inference.mean_us
-            if abs(stage_sum - self.total.mean_us) > 0.05 * self.total.mean_us:
-                raise ValueError(
-                    f"stage means sum to {stage_sum:.1f} us but total is "
-                    f"{self.total.mean_us:.1f} us"
-                )
+        # stages are sub-spans of the same walk through each burst
+        stage_sum = self.decode.mean_us + self.dsp.mean_us + self.inference.mean_us
+        if abs(stage_sum - self.total.mean_us) > 0.05 * self.total.mean_us:
+            raise ValueError(
+                f"stage means sum to {stage_sum:.1f} us but total is "
+                f"{self.total.mean_us:.1f} us"
+            )
 
     def to_text(self) -> str:
         lines = [
             f"machine={self.machine}",
             f"bursts={self.bursts}",
-            f"pipeline={int(self.pipeline)}",
             f"throughput_bps={self.throughput_bps:.2f}",
             f"drops={self.drops}",
         ]
@@ -122,7 +114,6 @@ class BenchReport:
             f"batch1x8_ms={self.batch1_ms:.3f}",
             f"batch2x8_ms={self.batch2_ms:.3f}",
             f"batch_ratio={self.batch_ratio:.3f}",
-            f"seq_infer_ms={self.seq_infer_ms:.3f}",
             f"per_frame_ms={self.per_frame_ms:.3f}",
         ]
         return "\n".join(lines)
@@ -202,64 +193,11 @@ def _run_serial(pool, config, classifier, bursts):
     return decode_us, dsp_us, infer_us, total_us, drops, wall_s
 
 
-def _run_pipeline(pool, config, classifier, bursts):
-    """Three stage threads joined by depth-1 blocking hand-offs (lossless)."""
-    q_decode: queue.Queue = queue.Queue(maxsize=1)
-    q_dsp: queue.Queue = queue.Queue(maxsize=1)
-    decode_us, dsp_us, infer_us, total_us = [], [], [], []
-
-    def decoder():
-        for i in range(bursts):
-            raw = pool[i % len(pool)]
-            t0 = time.perf_counter_ns()
-            burst = _decode_stage(raw, config)
-            decode_us.append((time.perf_counter_ns() - t0) / 1e3)
-            q_decode.put((t0, burst))
-        q_decode.put(None)
-
-    def dsper():
-        while True:
-            item = q_decode.get()
-            if item is None:
-                q_dsp.put(None)
-                return
-            t0, burst = item
-            t1 = time.perf_counter_ns()
-            frame = dsp.process_burst(burst)
-            dsp_us.append((time.perf_counter_ns() - t1) / 1e3)
-            q_dsp.put((t0, frame))
-
-    wall_start = time.perf_counter_ns()
-    threads = [threading.Thread(target=f, daemon=True) for f in (decoder, dsper)]
-    for th in threads:
-        th.start()
-    period_us = 1e6 / config.burst_rate_hz
-    drops = 0
-    while True:
-        item = q_dsp.get()
-        if item is None:
-            break
-        t0, frame = item
-        t2 = time.perf_counter_ns()
-        classifier.push(frame.values)
-        t3 = time.perf_counter_ns()
-        infer_us.append((t3 - t2) / 1e3)
-        total_us.append((t3 - t0) / 1e3)
-        if t3 - t0 > period_us * 1e3:
-            drops += 1
-    for th in threads:
-        th.join()
-    wall_s = (time.perf_counter_ns() - wall_start) / 1e9
-    return decode_us, dsp_us, infer_us, total_us, drops, wall_s
-
-
 def run_bench(
     model: TransDopeModel,
     bursts: int = 10_000,
     config: RadarConfig | None = None,
     seed: int = 7,
-    pipeline: bool = False,
-    pool_size: int = DEFAULT_POOL,
 ) -> BenchReport:
     if bursts < 1:
         raise ValueError(f"bursts must be >= 1, got {bursts}")
@@ -268,14 +206,13 @@ def run_bench(
         raise ValueError(
             f"radar frames {config.ard_shape} do not fit model {model.config.frame_shape}"
         )
-    pool = _burst_pool(config, seed, min(bursts, pool_size))
+    pool = _burst_pool(config, seed, min(bursts, DEFAULT_POOL))
     classifier = SlidingClassifier(model)
     # warm caches and fill the window outside the timed region
     for raw in pool[: model.config.seq_len]:
         classifier.push(dsp.process_burst(_decode_stage(raw, config)).values)
 
-    runner = _run_pipeline if pipeline else _run_serial
-    decode_us, dsp_us, infer_us, total_us, drops, wall_s = runner(
+    decode_us, dsp_us, infer_us, total_us, drops, wall_s = _run_serial(
         pool, config, classifier, bursts
     )
 
@@ -283,7 +220,6 @@ def run_bench(
     report = BenchReport(
         machine=machine_descriptor(),
         bursts=bursts,
-        pipeline=pipeline,
         throughput_bps=bursts / wall_s,
         drops=drops,
         decode=StageStats.from_samples("decode", decode_us),
@@ -293,7 +229,6 @@ def run_bench(
         batch1_ms=batch1_ms,
         batch2_ms=batch2_ms,
         batch_ratio=batch2_ms / batch1_ms,
-        seq_infer_ms=batch1_ms,
         per_frame_ms=batch1_ms / model.config.seq_len,
     )
     report.validate()

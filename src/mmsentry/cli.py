@@ -228,18 +228,8 @@ def cmd_consume(args) -> int:
 def cmd_bench(args) -> int:
     config = load_radar_config(args.config)
     model = ckpt.load_model(args.model)
-    reports = [
-        bench_mod.run_bench(
-            model, bursts=args.bursts, config=config, seed=args.seed, pipeline=False
-        )
-    ]
-    if args.pipeline:
-        reports.append(
-            bench_mod.run_bench(
-                model, bursts=args.bursts, config=config, seed=args.seed, pipeline=True
-            )
-        )
-    text = "\n\n".join(r.to_text() for r in reports)
+    report = bench_mod.run_bench(model, bursts=args.bursts, config=config, seed=args.seed)
+    text = report.to_text()
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
@@ -307,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="measure pipeline latency and throughput")
     b.add_argument("--model", required=True)
     b.add_argument("--bursts", type=int, default=10_000)
-    b.add_argument("--pipeline", action="store_true", help="also run the staged mode")
     b.add_argument("--out", default=None, help="write the report here too")
     _add_common(b)
     b.set_defaults(func=cmd_bench)

@@ -63,26 +63,6 @@ class Dataset:
         return flat, labels
 
 
-def write_dataset(path: str | Path, sequences: np.ndarray, labels: np.ndarray) -> Path:
-    """Write records to ``path``; sequences are stored as little-endian float32."""
-    path = Path(path)
-    sequences = np.asarray(sequences, dtype="<f4")
-    labels = np.asarray(labels, dtype=np.uint8)
-    if sequences.ndim != 5:
-        raise DatasetFormatError(
-            f"sequences must be 5-D (S, T, N, P, C), got shape {sequences.shape}"
-        )
-    if labels.shape != (sequences.shape[0],):
-        raise DatasetFormatError("labels length must match the number of sequences")
-    s, t, n, p, c = sequences.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, s, t, n, p, c))
-        for i in range(s):
-            fh.write(bytes([int(labels[i])]))
-            fh.write(sequences[i].tobytes())
-    return path
-
-
 class DatasetWriter:
     """Incremental writer for record-at-a-time generation."""
 

@@ -2,8 +2,8 @@
 
 Both FFTs are unnormalized forward transforms, so a unit-amplitude reflector
 at integer bins (b, d) produces a range-profile peak of magnitude N and a
-range-Doppler peak of magnitude N * P.  No window is applied unless requested;
-channels are processed independently end to end.
+range-Doppler peak of magnitude N * P.  No window is applied; channels are
+processed independently end to end.
 """
 
 from __future__ import annotations
@@ -52,11 +52,6 @@ class CRD:
         object.__setattr__(self, "data", _freeze(data))
 
 
-def hann_window(n: int) -> np.ndarray:
-    """Periodic Hann window of length n."""
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
 def _check_dims(burst: RawBurst, config: RadarConfig | None):
     if config is not None and burst.shape != config.burst_shape:
         raise ValueError(
@@ -64,10 +59,8 @@ def _check_dims(burst: RawBurst, config: RadarConfig | None):
         )
 
 
-def _range_spectrum(samples: np.ndarray, window: bool) -> np.ndarray:
+def _range_spectrum(samples: np.ndarray) -> np.ndarray:
     """(P, N, C) samples -> complex128 (N, P, C) fast-time spectrum, a transposed view."""
-    if window:
-        samples = samples * hann_window(samples.shape[1])[None, :, None]
     rp = np.fft.fft(samples, axis=1)          # (P, N, C), axis 1 -> range bins
     return np.transpose(rp, (1, 0, 2)).astype(np.complex128, copy=False)
 
@@ -78,20 +71,17 @@ def _doppler_spectrum(rp: np.ndarray) -> np.ndarray:
     return np.fft.fftshift(crd, axes=1)       # zero velocity -> bin P/2
 
 
-def range_profile(
-    burst: RawBurst, config: RadarConfig | None = None, window: bool = False
-) -> RangeProfile:
+def range_profile(burst: RawBurst, config: RadarConfig | None = None) -> RangeProfile:
     """Fast-time FFT per chirp and channel.
 
     Input layout is [chirp, sample, channel]; output is [range bin, chirp,
-    channel].  ``window=True`` applies a periodic Hann window over fast time
-    before the transform (off by default).
+    channel].
     """
     _check_dims(burst, config)
     return RangeProfile(
         burst_id=burst.burst_id,
         timestamp_us=burst.timestamp_us,
-        data=_range_spectrum(burst.data, window),
+        data=_range_spectrum(burst.data),
     )
 
 
@@ -109,9 +99,7 @@ def ard(crd: CRD) -> ARDFrame:
     )
 
 
-def process_burst(
-    burst: RawBurst, config: RadarConfig | None = None, window: bool = False
-) -> ARDFrame:
+def process_burst(burst: RawBurst, config: RadarConfig | None = None) -> ARDFrame:
     """Full chain: range profile -> complex range-Doppler -> magnitudes.
 
     The same steps as ``ard(complex_range_doppler(range_profile(...)))`` on
@@ -119,5 +107,5 @@ def process_burst(
     final frame is built and checked.
     """
     _check_dims(burst, config)
-    crd = _doppler_spectrum(_range_spectrum(burst.data, window))
+    crd = _doppler_spectrum(_range_spectrum(burst.data))
     return ARDFrame(burst_id=burst.burst_id, timestamp_us=burst.timestamp_us, values=np.abs(crd))

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,9 +164,6 @@ class RawBurst:
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    def matches(self, config: RadarConfig) -> bool:
-        return self.shape == config.burst_shape
-
 
 @dataclass(frozen=True)
 class ARDFrame:
@@ -193,30 +190,3 @@ class ARDFrame:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.values.shape
-
-
-@dataclass(frozen=True)
-class ARDSequence:
-    """A fixed-length run of consecutive ARD frames, stacked [frame, range, doppler, channel]."""
-
-    values: np.ndarray
-    burst_ids: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.ndim != 4:
-            raise ValueError(f"sequence values must be 4-D, got shape {values.shape}")
-        if self.burst_ids and len(self.burst_ids) != values.shape[0]:
-            raise ValueError("burst_ids length must match the number of frames")
-        object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "burst_ids", tuple(self.burst_ids))
-
-    @classmethod
-    def from_frames(cls, frames: "list[ARDFrame]") -> "ARDSequence":
-        if not frames:
-            raise ValueError("cannot build a sequence from zero frames")
-        values = np.stack([f.values for f in frames])
-        return cls(values=values, burst_ids=tuple(f.burst_id for f in frames))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]

@@ -8,7 +8,7 @@ from seeded PCG64 generators; platform-default RNGs are never used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -87,10 +87,6 @@ class Scene:
             raise SceneError(
                 f"label {self.label} inconsistent with metal presence ({metal})"
             )
-
-    @property
-    def metal_count(self) -> int:
-        return sum(1 for s in self.scatterers if s.is_metal)
 
 
 def synthesize_burst(

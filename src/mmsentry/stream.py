@@ -118,11 +118,27 @@ def encode_frame(frame: WireFrame) -> bytes:
     return body + _CRC.pack(zlib.crc32(body))
 
 
+def _checked_frame(raw: bytes) -> WireFrame:
+    """``raw`` is exactly one frame with a checked header: verify its CRC and build it."""
+    _, version, kind, burst_id, timestamp_us, _ = _HEADER.unpack_from(raw)
+    end = len(raw) - _CRC.size
+    (crc_stored,) = _CRC.unpack_from(raw, end)
+    if zlib.crc32(raw[:end]) != crc_stored:
+        raise BadCrcError(f"crc mismatch on burst_id {burst_id}")
+    return WireFrame(
+        kind=kind,
+        burst_id=burst_id,
+        timestamp_us=timestamp_us,
+        payload=raw[_HEADER.size : end],
+        version=version,
+    )
+
+
 def decode_frame(data: bytes) -> WireFrame:
     """Strict single-frame decode; rejects anything but one whole valid frame."""
     if len(data) < _HEADER.size + _CRC.size:
         raise TruncatedFrameError(f"{len(data)} bytes cannot hold a frame")
-    magic, version, kind, burst_id, timestamp_us, payload_len = _HEADER.unpack_from(data)
+    magic, version, _, _, _, payload_len = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -132,16 +148,7 @@ def decode_frame(data: bytes) -> WireFrame:
         raise TruncatedFrameError(f"need {total} bytes, have {len(data)}")
     if len(data) > total:
         raise ValueError(f"{len(data) - total} trailing bytes after frame")
-    (crc_stored,) = _CRC.unpack_from(data, total - _CRC.size)
-    if zlib.crc32(data[: total - _CRC.size]) != crc_stored:
-        raise BadCrcError(f"crc mismatch on burst_id {burst_id}")
-    return WireFrame(
-        kind=kind,
-        burst_id=burst_id,
-        timestamp_us=timestamp_us,
-        payload=data[_HEADER.size : total - _CRC.size],
-        version=version,
-    )
+    return _checked_frame(data)
 
 
 class FrameReader:
@@ -193,7 +200,7 @@ class FrameReader:
         if not self._fill(_HEADER.size):
             self._buf.clear()
             raise TruncatedFrameError("stream ended inside a frame header")
-        _, version, kind, burst_id, timestamp_us, payload_len = _HEADER.unpack_from(self._buf)
+        _, version, _, _, _, payload_len = _HEADER.unpack_from(self._buf)
         if payload_len > MAX_PAYLOAD:
             self._consume(len(MAGIC))
             raise TruncatedFrameError(f"implausible payload length {payload_len}")
@@ -208,17 +215,7 @@ class FrameReader:
         if not self._fill(total):
             self._buf.clear()
             raise TruncatedFrameError("stream ended inside a frame payload")
-        raw = self._consume(total)
-        (crc_stored,) = _CRC.unpack_from(raw, total - _CRC.size)
-        if zlib.crc32(raw[: total - _CRC.size]) != crc_stored:
-            raise BadCrcError(f"crc mismatch on burst_id {burst_id}")
-        return WireFrame(
-            kind=kind,
-            burst_id=burst_id,
-            timestamp_us=timestamp_us,
-            payload=raw[_HEADER.size : total - _CRC.size],
-            version=version,
-        )
+        return _checked_frame(self._consume(total))
 
 
 # ---------------------------------------------------------------------------
@@ -642,15 +639,19 @@ class BurstConsumer:
             self._sock = None
 
     def detections(self, max_bursts: int | None = None, pause_hook=None):
-        """Generator of Detection; runs until EOF or ``max_bursts`` bursts.
+        """Generator of Detection; runs until EOF or ``max_bursts`` burst frames.
 
-        ``pause_hook(stats)`` is called between frames (testing aid: lets a
-        test stall the reader to provoke producer-side drops).
+        Every burst frame read counts toward ``max_bursts``, whether it was
+        classified or skipped, so the count ends the run even while no usable
+        config has arrived.  ``pause_hook(stats)`` is called between frames
+        (testing aid: lets a test stall the reader to provoke producer-side
+        drops).
         """
         if self._sock is None:
             self.connect()
         reader = FrameReader(self._sock.recv)
-        while max_bursts is None or self.stats.bursts < max_bursts:
+        burst_frames = 0
+        while max_bursts is None or burst_frames < max_bursts:
             if pause_hook is not None:
                 pause_hook(self.stats)
             try:
@@ -673,6 +674,7 @@ class BurstConsumer:
                 continue
             if frame.kind != KIND_BURST:
                 continue
+            burst_frames += 1
             detection = self._on_burst(frame)
             if detection is not None:
                 yield detection

@@ -10,7 +10,6 @@ from .model import (
     TransDopeModel,
     classify_tokens,
     embed_frame,
-    forward,
     forward_batch,
     param_count,
     positional_table,
@@ -35,7 +34,6 @@ __all__ = [
     "TransDopeModel",
     "classify_tokens",
     "embed_frame",
-    "forward",
     "forward_batch",
     "param_count",
     "positional_table",

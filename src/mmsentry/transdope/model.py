@@ -172,8 +172,8 @@ def param_count(model: TransDopeModel) -> int:
 
 def _check_sequences(x: np.ndarray, config: TransDopeConfig):
     want = (config.seq_len, *config.frame_shape)
-    if x.shape[-4:] != want or x.ndim not in (4, 5):
-        raise ValueError(f"expected sequence shaped (..., {want}), got {x.shape}")
+    if x.ndim != 5 or x.shape[1:] != want:
+        raise ValueError(f"expected a batch of sequences shaped (B, {want}), got {x.shape}")
 
 
 def _keep(result, caches: list | None):
@@ -316,27 +316,11 @@ def _backward_batch(dlogits: np.ndarray, caches, model: TransDopeModel) -> dict:
 # Public inference operations
 
 
-def _as_values(seq) -> np.ndarray:
-    """Accept an ARDSequence/ARDFrame or a plain array of magnitudes."""
-    return np.asarray(getattr(seq, "values", seq))
-
-
 def forward_batch(x: np.ndarray, model: TransDopeModel) -> np.ndarray:
     """Probabilities for a batch of sequences; x: (B, T, N, P, C) -> (B,)."""
     _check_sequences(x, model.config)
-    if x.ndim != 5:
-        raise ValueError(f"expected a batch of sequences, got shape {x.shape}")
     logits, _ = _forward_batch(x, model, with_cache=False)
     return layers.sigmoid(logits)
-
-
-def forward(seq, model: TransDopeModel) -> float:
-    """Probability of the metal-present class for one (T, N, P, C) sequence."""
-    seq_values = _as_values(seq)
-    _check_sequences(seq_values, model.config)
-    if seq_values.ndim != 4:
-        raise ValueError(f"expected a single sequence, got shape {seq_values.shape}")
-    return float(forward_batch(seq_values[None], model)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +332,7 @@ class SlidingClassifier:
 
     Per-frame convolution features are computed once when a frame arrives;
     positional encoding is re-applied per window, so results match
-    :func:`forward` on the stacked window exactly.
+    :func:`forward_batch` on the stacked window exactly.
     """
 
     def __init__(self, model: TransDopeModel):
@@ -367,7 +351,7 @@ class SlidingClassifier:
 
     def push(self, frame_values: np.ndarray) -> float | None:
         """Add a frame; returns the window probability once full, else None."""
-        frame = _as_values(frame_values)
+        frame = np.asarray(frame_values)
         if frame.shape != self.model.config.frame_shape:
             raise ValueError(
                 f"expected a frame shaped {self.model.config.frame_shape}, got {frame.shape}"

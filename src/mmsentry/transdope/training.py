@@ -27,6 +27,8 @@ from .model import (
     _forward_batch,
 )
 
+DECAY_EVERY = 10  # epochs per learning-rate step
+
 
 class TrainingDivergedError(ArithmeticError):
     """Raised when the loss stops being finite; message carries diagnostics."""
@@ -37,9 +39,7 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 8
     lr0: float = 1e-2
-    decay_every: int = 10
     seed: int = 0
-    stop_at_train_accuracy: float | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -48,12 +48,10 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.lr0 > 0:
             raise ValueError(f"lr0 must be positive, got {self.lr0}")
-        if self.decay_every < 1:
-            raise ValueError(f"decay_every must be >= 1, got {self.decay_every}")
 
 
 def learning_rate(cfg: TrainConfig, epoch: int) -> float:
-    return cfg.lr0 / (1 + epoch // cfg.decay_every)
+    return cfg.lr0 / (1 + epoch // DECAY_EVERY)
 
 
 @dataclass(frozen=True)
@@ -143,13 +141,7 @@ def train(
                 model.params[name] -= lr * g
             loss_sum += loss * len(idx)
             correct += int(np.sum((logits >= 0.0) == (yb == 1.0)))
-        stats = EpochStats(epoch, lr, loss_sum / count, correct / count)
-        history.append(stats)
-        if (
-            cfg.stop_at_train_accuracy is not None
-            and stats.accuracy >= cfg.stop_at_train_accuracy
-        ):
-            break
+        history.append(EpochStats(epoch, lr, loss_sum / count, correct / count))
     return model, history
 
 

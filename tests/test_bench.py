@@ -70,14 +70,13 @@ def test_machine_descriptor_mentions_cores():
 def report_with(total_mean, stage_mean, throughput=100.0):
     stage = lambda name, mean: StageStats(name, 10, mean, mean, mean, mean)
     return BenchReport(
-        machine="test", bursts=10, pipeline=False, throughput_bps=throughput,
+        machine="test", bursts=10, throughput_bps=throughput,
         drops=0,
         decode=stage("decode", stage_mean),
         dsp=stage("dsp", stage_mean),
         inference=stage("inference", stage_mean),
         total=stage("total", total_mean),
-        batch1_ms=1.0, batch2_ms=2.0, batch_ratio=2.0,
-        seq_infer_ms=1.0, per_frame_ms=0.125,
+        batch1_ms=1.0, batch2_ms=2.0, batch_ratio=2.0, per_frame_ms=0.125,
     )
 
 
@@ -90,9 +89,8 @@ def test_report_requires_stage_sum_to_match_total():
 
 
 def test_run_bench_serial_report():
-    report = run_bench(small_model(), bursts=60, config=SMALL, seed=3, pool_size=16)
+    report = run_bench(small_model(), bursts=60, config=SMALL, seed=3)
     assert report.bursts == 60
-    assert not report.pipeline
     assert report.decode.count == 60
     assert report.dsp.count == 60
     assert report.inference.count == 60
@@ -103,22 +101,9 @@ def test_run_bench_serial_report():
     text = report.to_text()
     keys = dict(line.split("=", 1) for line in text.splitlines())
     assert keys["bursts"] == "60"
-    assert keys["pipeline"] == "0"
     assert float(keys["throughput_bps"]) > 0.0
     assert "total_p95_us" in keys
     assert "batch_ratio" in keys
-
-
-def test_run_bench_pipeline_report():
-    report = run_bench(
-        small_model(), bursts=40, config=SMALL, seed=3, pipeline=True, pool_size=16
-    )
-    assert report.pipeline
-    assert report.total.count == 40
-    # overlapped stages are not sub-spans, so no additivity is enforced,
-    # but per-stage latencies are still recorded for every burst
-    assert report.decode.count == 40
-    assert report.dsp.count == 40
 
 
 def test_run_bench_rejects_mismatched_model():

@@ -256,17 +256,5 @@ def test_bench_reports_and_optional_file(work, tmp_path, capsys):
         line.split("=", 1) for line in captured.out.strip().splitlines() if "=" in line
     )
     assert keys["bursts"] == "30"
-    assert keys["pipeline"] == "0"
     assert float(keys["throughput_bps"]) > 0.0
     assert out.read_text().strip() == captured.out.strip()
-
-
-def test_bench_pipeline_flag_adds_second_report(work, capsys):
-    rc = cli.main([
-        "bench", "--model", str(work["ckpt"]), "--bursts", "20",
-        "--config", str(work["config"]), "--pipeline",
-    ])
-    captured = capsys.readouterr()
-    assert rc == 0
-    assert "pipeline=0" in captured.out
-    assert "pipeline=1" in captured.out

@@ -18,10 +18,17 @@ def small_dataset(rng, s=4, t=2, n=8, p=4, c=3):
     return sequences, labels
 
 
+def write(path, sequences, labels):
+    with dataset_io.DatasetWriter(path, sequences.shape[1], sequences.shape[2:]) as writer:
+        for seq, label in zip(sequences, labels):
+            writer.append(seq, int(label))
+    return path
+
+
 def test_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     sequences, labels = small_dataset(rng)
-    path = dataset_io.write_dataset(tmp_path / "d.ards", sequences, labels)
+    path = write(tmp_path / "d.ards", sequences, labels)
     ds = dataset_io.read_dataset(path)
     assert np.array_equal(ds.sequences, sequences)
     assert np.array_equal(ds.labels, labels)
@@ -47,7 +54,7 @@ def test_round_trip_property(s, t, dims, seed):
     sequences = rng.uniform(0.0, 10.0, size=(s, t, n, p, c)).astype(np.float32)
     labels = rng.integers(0, 2, size=s).astype(np.uint8)
     with tempfile.TemporaryDirectory() as tmp:
-        path = dataset_io.write_dataset(Path(tmp) / "prop.ards", sequences, labels)
+        path = write(Path(tmp) / "prop.ards", sequences, labels)
         ds = dataset_io.read_dataset(path)
     assert np.array_equal(ds.sequences, sequences)
     assert np.array_equal(ds.labels, labels)
@@ -56,7 +63,7 @@ def test_round_trip_property(s, t, dims, seed):
 def test_header_fields(tmp_path):
     rng = np.random.default_rng(1)
     sequences, labels = small_dataset(rng)
-    path = dataset_io.write_dataset(tmp_path / "d.ards", sequences, labels)
+    path = write(tmp_path / "d.ards", sequences, labels)
     raw = path.read_bytes()
     magic, version, count, t, n, p, c = struct.unpack_from("<4sIIHHHH", raw)
     assert magic == b"ARDS"
@@ -64,16 +71,6 @@ def test_header_fields(tmp_path):
     assert (count, t, n, p, c) == (4, 2, 8, 4, 3)
     record = 1 + t * n * p * c * 4
     assert len(raw) == 20 + count * record
-
-
-def test_incremental_writer_matches_bulk(tmp_path):
-    rng = np.random.default_rng(2)
-    sequences, labels = small_dataset(rng)
-    bulk = dataset_io.write_dataset(tmp_path / "bulk.ards", sequences, labels)
-    with dataset_io.DatasetWriter(tmp_path / "inc.ards", 2, (8, 4, 3)) as writer:
-        for seq, label in zip(sequences, labels):
-            writer.append(seq, int(label))
-    assert bulk.read_bytes() == (tmp_path / "inc.ards").read_bytes()
 
 
 def test_writer_rejects_wrong_record_shape(tmp_path):
@@ -85,7 +82,7 @@ def test_writer_rejects_wrong_record_shape(tmp_path):
 def test_reader_rejects_corruption(tmp_path):
     rng = np.random.default_rng(3)
     sequences, labels = small_dataset(rng)
-    path = dataset_io.write_dataset(tmp_path / "d.ards", sequences, labels)
+    path = write(tmp_path / "d.ards", sequences, labels)
     raw = bytearray(path.read_bytes())
 
     truncated = tmp_path / "trunc.ards"

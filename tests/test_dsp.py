@@ -146,29 +146,13 @@ def test_nonsquare_config_chain():
     assert np.allclose(frame.values, oracle_chain(burst.data), atol=1e-9)
 
 
-def test_hann_window_shape_and_symmetry():
-    w = dsp.hann_window(64)
-    assert w.shape == (64,)
-    assert w[0] == 0.0
-    assert np.allclose(w[1:], w[1:][::-1], atol=1e-15)  # periodic symmetry
-    k = np.arange(64)
-    assert np.allclose(w, 0.5 * (1.0 - np.cos(2.0 * np.pi * k / 64)), atol=1e-15)
-
-
-def test_windowed_range_profile_matches_windowed_oracle():
-    rng = np.random.default_rng(11)
-    burst = random_burst(rng)
-    rp = dsp.range_profile(burst, CFG, window=True)
-    windowed = burst.data * dsp.hann_window(CFG.samples_per_chirp)[None, :, None]
-    ref = oracle_range_profile(windowed)
-    assert np.max(np.abs(rp.data - ref)) < 1e-9 * np.max(np.abs(ref))
-
-
 def test_dimension_mismatch_rejected():
     cfg_small = RadarConfig(chirps_per_burst=8, samples_per_chirp=32, bandwidth_hz=2e9)
     burst = random_burst(np.random.default_rng(0), cfg_small)
     with pytest.raises(ValueError):
         dsp.range_profile(burst, CFG)
+    with pytest.raises(ValueError):
+        dsp.process_burst(burst, CFG)
 
 
 def test_process_burst_composition_identity():
@@ -176,10 +160,7 @@ def test_process_burst_composition_identity():
     data = rng.normal(size=CFG.burst_shape) + 1j * rng.normal(size=CFG.burst_shape)
     for dtype in (np.complex128, np.complex64):
         burst = RawBurst(burst_id=3, timestamp_us=9, data=data.astype(dtype))
-        for window in (False, True):
-            direct = dsp.process_burst(burst, CFG, window=window)
-            staged = dsp.ard(
-                dsp.complex_range_doppler(dsp.range_profile(burst, CFG, window=window))
-            )
-            assert direct.values.tobytes() == staged.values.tobytes(), (dtype, window)
-            assert (direct.burst_id, direct.timestamp_us) == (3, 9)
+        direct = dsp.process_burst(burst, CFG)
+        staged = dsp.ard(dsp.complex_range_doppler(dsp.range_profile(burst, CFG)))
+        assert direct.values.tobytes() == staged.values.tobytes(), dtype
+        assert (direct.burst_id, direct.timestamp_us) == (3, 9)

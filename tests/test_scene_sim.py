@@ -95,12 +95,16 @@ def test_preset_empty():
     assert scene.label == 0
 
 
+def metal_count(scene):
+    return sum(s.is_metal for s in scene.scatterers)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_preset_person(seed):
     scene = make_scene("person", seed=seed, config=CFG)
     assert 5 <= len(scene.scatterers) <= 10
     assert scene.label == 0
-    assert scene.metal_count == 0
+    assert metal_count(scene) == 0
     for s in scene.scatterers:
         assert BODY_AMPLITUDE[0] <= s.amplitude <= BODY_AMPLITUDE[1]
         assert abs(s.velocity_mps) <= 1.0
@@ -112,7 +116,7 @@ def test_preset_person(seed):
 def test_preset_person_with_metal(seed):
     scene = make_scene("person_with_metal", seed=seed, config=CFG)
     assert scene.label == 1
-    assert scene.metal_count == 1
+    assert metal_count(scene) == 1
     metal = [s for s in scene.scatterers if s.is_metal][0]
     assert METAL_AMPLITUDE[0] <= metal.amplitude <= METAL_AMPLITUDE[1]
     bodies = [s for s in scene.scatterers if not s.is_metal]
@@ -124,7 +128,7 @@ def test_preset_person_with_metal(seed):
 def test_preset_crowd_one_metal(seed):
     scene = make_scene("crowd_one_metal", seed=seed, config=CFG)
     assert scene.label == 1
-    assert scene.metal_count == 1
+    assert metal_count(scene) == 1
     assert 26 <= len(scene.scatterers) <= 51
 
 
@@ -132,7 +136,7 @@ def test_preset_crowd_one_metal(seed):
 def test_preset_crowd_with_accessories(seed):
     scene = make_scene("crowd_with_accessories", seed=seed, config=CFG)
     assert scene.label == 0
-    assert scene.metal_count == 0
+    assert metal_count(scene) == 0
     # five clusters of 5-10 bodies plus 1-3 accessories each
     assert 30 <= len(scene.scatterers) <= 65
 
@@ -147,7 +151,7 @@ def test_scene_for_label_twins(preset):
     for label in (0, 1):
         scene = scene_for_label(preset, label, seed=3, config=CFG)
         assert scene.label == label
-        assert (scene.metal_count > 0) == bool(label)
+        assert (metal_count(scene) > 0) == bool(label)
 
 
 def test_label_invariant_enforced():

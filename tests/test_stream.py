@@ -7,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmsentry import stream
 from mmsentry.radar_core import RadarConfig, RawBurst
@@ -108,6 +110,36 @@ def test_decode_error_taxonomy():
     )
     with pytest.raises(UnsupportedVersionError):
         decode_frame(versioned)
+
+
+def decode_outcome(decode, raw: bytes):
+    """The frame ``decode`` returns, or ValueError if it raises one."""
+    try:
+        return decode(raw)
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from([stream.KIND_BURST, stream.KIND_CONFIG]),
+    burst_id=st.integers(0, (1 << 32) - 1),
+    timestamp_us=st.integers(0, (1 << 64) - 1),
+    payload=st.binary(max_size=64),
+    data=st.data(),
+)
+def test_decoders_agree_on_damaged_frames(kind, burst_id, timestamp_us, payload, data):
+    raw = encode_frame(WireFrame(kind, burst_id, timestamp_us, payload))
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[: data.draw(st.integers(1, len(raw) - 1), label="length")]
+    else:
+        bit = data.draw(st.integers(0, 8 * len(raw) - 1), label="bit")
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        damaged = bytes(flipped)
+    strict = decode_outcome(decode_frame, damaged)
+    streamed = decode_outcome(lambda b: reader_over(b).read_frame(), damaged)
+    assert strict == streamed
 
 
 def test_wireframe_field_validation():
@@ -455,6 +487,23 @@ def test_consumer_survives_config_that_does_not_fit_model():
     assert consumer.stats.skipped_bursts == 20
     assert consumer.stats.bursts == 0
     assert producer.stats.sent == 20
+
+
+def test_max_bursts_counts_skipped_bursts():
+    # no burst fits the model, yet max_bursts still ends the run
+    mismatched = RadarConfig(chirps_per_burst=4, samples_per_chirp=16, channels=1)
+    src = SceneSource("person_with_metal", seed=6, config=mismatched)
+    producer, thread, endpoint = start_producer(src, rate_hz=0.0, max_bursts=60)
+    consumer = BurstConsumer(endpoint, model=small_model())
+    detections = list(consumer.detections(max_bursts=10))
+    consumer.close()
+    producer.stop()
+    thread.join(timeout=10.0)
+
+    assert detections == []
+    assert consumer.stats.frames == 11  # the config frame and 10 bursts
+    assert consumer.stats.skipped_bursts == 10
+    assert consumer.stats.bursts == 0
 
 
 def serve_once(blob: bytes) -> tuple[threading.Thread, str]:

@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mmsentry.radar_core import ARDSequence
 from mmsentry.transdope import (
     CheckpointError,
     NumericsError,
@@ -19,7 +18,6 @@ from mmsentry.transdope import (
     classify_tokens,
     embed_frame,
     evaluate,
-    forward,
     forward_batch,
     learning_rate,
     load_model,
@@ -250,15 +248,19 @@ def test_pooling_is_frame_order_invariant_without_encoder():
     )
     params = TransDopeModel.initialize(cfg, seed=8).params
     model = TransDopeModel(config=cfg, params=params, pos_table=np.zeros((2, 8)))
-    x = random_batch(cfg, 1, seed=9)[0]
-    assert forward(x, model) == pytest.approx(forward(x[::-1], model), abs=1e-12)
+    x = random_batch(cfg, 1, seed=9)
+    assert forward_batch(x, model)[0] == pytest.approx(
+        forward_batch(x[:, ::-1], model)[0], abs=1e-12
+    )
 
 
 def test_encoder_token_conv_is_frame_order_sensitive():
     params = TransDopeModel.initialize(TINY, seed=8).params
     model = TransDopeModel(config=TINY, params=params, pos_table=np.zeros((2, 8)))
-    x = random_batch(TINY, 1, seed=9)[0]
-    assert forward(x, model) != pytest.approx(forward(x[::-1], model), abs=1e-12)
+    x = random_batch(TINY, 1, seed=9)
+    assert forward_batch(x, model)[0] != pytest.approx(
+        forward_batch(x[:, ::-1], model)[0], abs=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +277,6 @@ def test_forward_probabilities_are_valid():
     assert np.array_equal(probs, again)
 
 
-def test_forward_single_matches_batch():
-    model = TransDopeModel.initialize(TINY, seed=0)
-    x = random_batch(TINY, 4, seed=11)
-    probs = forward_batch(x, model)
-    for i in range(4):
-        assert forward(x[i], model) == pytest.approx(probs[i], abs=1e-15)
-
-
-def test_forward_accepts_sequence_objects():
-    model = TransDopeModel.initialize(TransDopeConfig(), seed=0)
-    values = rng(12).uniform(0.0, 5.0, (8, 64, 16, 3)).astype(np.float32)
-    seq = ARDSequence(values=values)
-    assert forward(seq, model) == pytest.approx(forward(values, model), abs=1e-15)
-
-
 def test_forward_does_not_mutate_params():
     model = TransDopeModel.initialize(TINY, seed=0)
     before = {k: v.copy() for k, v in model.params.items()}
@@ -301,7 +288,7 @@ def test_forward_does_not_mutate_params():
 def test_forward_rejects_bad_shapes():
     model = TransDopeModel.initialize(TINY, seed=0)
     with pytest.raises(ValueError):
-        forward(np.zeros((3, 8, 4, 2)), model)
+        forward_batch(np.zeros((1, 1, 2, 8, 4, 2)), model)
     with pytest.raises(ValueError):
         forward_batch(np.zeros((2, 8, 4, 2)), model)
     with pytest.raises(ValueError):
@@ -433,7 +420,7 @@ def test_sliding_classifier_matches_batch_forward():
         prob = clf.push(frames[k])
         assert prob is not None  # window is full from the second frame on
         window = frames[k - 1 : k + 1]
-        assert prob == pytest.approx(forward(window, model), abs=1e-12)
+        assert prob == pytest.approx(forward_batch(window[None], model)[0], abs=1e-12)
     assert len(clf) == 2
     clf.reset()
     assert len(clf) == 0
@@ -497,15 +484,6 @@ def test_train_is_deterministic():
     assert h1 == h2
     for name in m1.params:
         assert np.array_equal(m1.params[name], m2.params[name])
-
-
-def test_train_early_stop_on_accuracy():
-    model = TransDopeModel.initialize(TINY, seed=1)
-    data = separable_sequences(16, seed=22)
-    cfg = TrainConfig(epochs=40, batch_size=4, lr0=2e-2, stop_at_train_accuracy=1.0)
-    _, history = train(model, data, cfg)
-    assert len(history) < 40
-    assert history[-1].accuracy == 1.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
