@@ -3,13 +3,14 @@
 Subcommands: generate (synthetic dataset), train (pretrain + fine-tune),
 infer (batch classify a dataset), produce / consume (live streaming pair),
 bench (latency/throughput report).  A plain ``key=value`` text file passed
-via --config overrides radar defaults; every command is deterministic for a
-fixed --seed.
+via --config overrides radar defaults for generate, produce and bench; every
+command that draws random numbers is deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import sys
@@ -160,15 +161,10 @@ def cmd_infer(args) -> int:
         for i, p in enumerate(probabilities)
     ]
     out = args.out or "-"
-    if out == "-":
-        writer = csv.writer(sys.stdout)
+    with contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", newline="") as fh:
+        writer = csv.writer(fh)
         writer.writerow(["index", "label", "probability", "decision"])
         writer.writerows(rows)
-    else:
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "label", "probability", "decision"])
-            writer.writerows(rows)
     correct = sum(1 for r in rows if r[1] == r[3])
     print(f"accuracy {correct / len(rows):.3f} over {len(rows)} sequences", file=sys.stderr)
     return 0
@@ -267,14 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--pretrain-batch", type=int, default=64)
     t.add_argument("--pretrain-lr", type=float, default=3e-2)
     t.add_argument("--holdout", type=float, default=0.0, help="held-out fraction")
-    _add_common(t)
+    t.add_argument("--seed", type=int, default=7, help="deterministic RNG seed")
     t.set_defaults(func=cmd_train)
 
     i = sub.add_parser("infer", help="classify every sequence in a dataset")
     i.add_argument("--model", required=True)
     i.add_argument("--data", required=True)
     i.add_argument("--out", default=None, help="CSV path (default stdout)")
-    _add_common(i)
     i.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("produce", help="serve bursts over TCP")
@@ -291,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--model", default=None, help="checkpoint path (omit for decode-only)")
     c.add_argument("--out", default=None, help="detections CSV path")
     c.add_argument("--max-bursts", type=int, default=None)
-    _add_common(c)
     c.set_defaults(func=cmd_consume)
 
     b = sub.add_parser("bench", help="measure pipeline latency and throughput")

@@ -18,6 +18,8 @@ range where the fixed learning-rate recipe is stable.
 The forward pass is two stages, and batch inference, the sliding window and
 training all compose them: :func:`embed_frame` maps frames to position-free
 tokens, and :func:`classify_tokens` maps a token sequence to logits.
+Pretraining composes :func:`embed_frame` too: its throwaway model has a
+one-wide embedding, whose single column is the logit of a frame.
 """
 
 from __future__ import annotations
@@ -184,34 +186,6 @@ def _keep(result, caches: list | None):
     return y
 
 
-def _conv_stack_forward(frames: np.ndarray, p: dict, with_cache: bool):
-    """frames: (M, N, P, C) already input-scaled -> (M, N/4, P/4, F).
-
-    Without a cache no name stays bound to a layer's cache (im2col columns,
-    ReLU mask, pooling input), so each temporary is freed as soon as the next
-    layer has consumed it.  That keeps the peak of one frame small enough
-    for the allocator to hold on to the memory between frames.
-    """
-    caches = [] if with_cache else None
-    x = frames
-    for conv in ("conv1", "conv2"):
-        x = _keep(layers.conv2d_forward(x, p[conv + "_w"], p[conv + "_b"]), caches)
-        x = _keep(layers.relu_forward(x), caches)
-        x = _keep(layers.maxpool2_forward(x), caches)
-    return x, (tuple(caches) if with_cache else None)
-
-
-def _conv_stack_backward(dout: np.ndarray, cache, grads: dict):
-    """Parameter gradients of the conv stack; the input needs no gradient."""
-    cc1, m1, cp1, cc2, m2, cp2 = cache
-    d = layers.maxpool2_backward(dout, cp2)
-    d = layers.relu_backward(d, m2)
-    d, grads["conv2_w"], grads["conv2_b"] = layers.conv2d_backward(d, cc2)
-    d = layers.maxpool2_backward(d, cp1)
-    d = layers.relu_backward(d, m1)
-    grads["conv1_w"], grads["conv1_b"] = layers.conv2d_param_grads(d, cc1)
-
-
 def _encoder_forward(tokens: np.ndarray, p: dict, prefix: str, heads: int, with_cache: bool):
     h1, cl1 = layers.layer_norm_forward(tokens, p[prefix + "ln1_g"], p[prefix + "ln1_b"])
     attn_out, ca = layers.attention_forward(h1, p, prefix, heads)
@@ -243,18 +217,45 @@ def _encoder_backward(dy: np.ndarray, cache, p: dict, grads: dict):
 
 
 def embed_frame(model: TransDopeModel, frames: np.ndarray, caches: list | None = None):
-    """(M, N, P, C) raw magnitudes -> (M, embed_dim) position-free tokens.
+    """(M, N, P, C) raw magnitudes -> (M, width of embed_w) position-free tokens.
 
-    Given a list, appends ``flat`` and the conv-stack cache for backward.
+    Given a list, appends one entry (the layer caches and ``flat``) for
+    :func:`_embed_backward`.  Without one no name stays bound to a layer's
+    cache (im2col columns, ReLU mask, pooling input), so each temporary is
+    freed as soon as the next layer has consumed it.  That keeps the peak of
+    one frame small enough for the allocator to hold on to the memory
+    between frames.
     """
     cfg = model.config
-    scaled = np.asarray(frames, dtype=np.float64) * cfg.input_scale
-    feats, conv_cache = _conv_stack_forward(scaled, model.params, caches is not None)
-    flat = feats.reshape(len(feats), cfg.feature_count)
+    p = model.params
+    stage = [] if caches is not None else None
+    x = np.asarray(frames, dtype=np.float64) * cfg.input_scale
+    for conv in ("conv1", "conv2"):
+        x = _keep(layers.conv2d_forward(x, p[conv + "_w"], p[conv + "_b"]), stage)
+        x = _keep(layers.relu_forward(x), stage)
+        x = _keep(layers.maxpool2_forward(x), stage)
+    flat = x.reshape(len(x), cfg.feature_count)
     if caches is not None:
-        caches.extend((flat, conv_cache))
-    emb, _ = layers.linear_forward(flat, model.params["embed_w"], model.params["embed_b"])
+        caches.append((*stage, flat))
+    emb, _ = layers.linear_forward(flat, p["embed_w"], p["embed_b"])
     return emb
+
+
+def _embed_backward(demb: np.ndarray, caches: list, model: TransDopeModel, grads: dict):
+    """Gradients of the embedding and the conv stack; the input needs none.
+
+    ``caches`` is the list :func:`embed_frame` appended to; its entry comes first.
+    """
+    cc1, m1, cp1, cc2, m2, cp2, flat = caches[0]
+    dflat, grads["embed_w"], grads["embed_b"] = layers.linear_backward(
+        demb, (flat, model.params["embed_w"])
+    )
+    d = layers.maxpool2_backward(dflat.reshape(len(flat), *model.config.pooled_shape), cp2)
+    d = layers.relu_backward(d, m2)
+    d, grads["conv2_w"], grads["conv2_b"] = layers.conv2d_backward(d, cc2)
+    d = layers.maxpool2_backward(d, cp1)
+    d = layers.relu_backward(d, m1)
+    grads["conv1_w"], grads["conv1_b"] = layers.conv2d_param_grads(d, cc1)
 
 
 def classify_tokens(model: TransDopeModel, tokens: np.ndarray, caches: list | None = None):
@@ -292,9 +293,8 @@ def _forward_batch(x: np.ndarray, model: TransDopeModel, with_cache: bool):
 def _backward_batch(dlogits: np.ndarray, caches, model: TransDopeModel) -> dict:
     cfg = model.config
     p = model.params
-    flat, conv_cache, pooled, enc_caches = caches
-    b = dlogits.shape[0]
-    t = flat.shape[0] // b
+    _, pooled, enc_caches = caches
+    b, t = dlogits.shape[0], cfg.seq_len
     grads: dict[str, np.ndarray] = {}
 
     dpooled, grads["head_w"], grads["head_b"] = layers.linear_backward(
@@ -303,12 +303,7 @@ def _backward_batch(dlogits: np.ndarray, caches, model: TransDopeModel) -> dict:
     dtokens = np.repeat(dpooled[:, None, :], t, axis=1) / t
     for i in reversed(range(cfg.encoder_layers)):
         dtokens = _encoder_backward(dtokens, enc_caches[i], p, grads)
-    demb = dtokens.reshape(b * t, cfg.embed_dim)
-    dflat, grads["embed_w"], grads["embed_b"] = layers.linear_backward(
-        demb, (flat, p["embed_w"])
-    )
-    dfeats = dflat.reshape(b * t, *cfg.pooled_shape)
-    _conv_stack_backward(dfeats, conv_cache, grads)
+    _embed_backward(dtokens.reshape(b * t, cfg.embed_dim), caches, model, grads)
     return grads
 
 

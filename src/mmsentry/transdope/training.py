@@ -2,8 +2,10 @@
 
 Two entry points mirror the two-stage recipe: :func:`pretrain_time_convs`
 fits the shared convolution stack on single labeled frames behind a throwaway
-linear head, and :func:`train` fine-tunes the full sequence model after
-:func:`apply_pretrained` copies those convolution weights in.
+one-wide embedding, and :func:`train` fine-tunes the full sequence model after
+:func:`apply_pretrained` copies those convolution weights in.  Both run the
+one SGD loop, :func:`_sgd`, each with its own forward/backward pair taken
+from the model module.
 
 The learning rate follows an inverse step decay: lr(e) = lr0 / (1 + e // 10).
 Plain SGD, no momentum, so the finite-difference gradient oracle applies to
@@ -17,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import layers
+from . import model as tdmodel
 from .model import (
     NumericsError,
     TransDopeConfig,
     TransDopeModel,
     _backward_batch,
-    _conv_stack_backward,
-    _conv_stack_forward,
+    _embed_backward,
     _forward_batch,
 )
 
@@ -82,7 +84,7 @@ def _as_xy(dataset, expect_seq: bool) -> tuple[np.ndarray, np.ndarray]:
             x, y = dataset.frames()
     else:
         x, y = dataset
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)  # its own dtype; the model converts each batch exactly
     y = np.asarray(y, dtype=np.float64)
     want = 5 if expect_seq else 4
     if x.ndim != want:
@@ -100,12 +102,38 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _check_finite(loss: float, epoch: int, batch: int, lr: float):
-    if not np.isfinite(loss):
-        raise TrainingDivergedError(
-            f"loss became {loss} at epoch {epoch}, batch {batch}, lr {lr:g}; "
-            "lower lr0 or inspect the input scaling"
-        )
+def _sgd(params: dict, x, y, cfg: TrainConfig, rng, forward, backward) -> list[EpochStats]:
+    """Descend ``params`` in place; the one epoch loop of both training stages.
+
+    ``forward(xb)`` returns (logits, caches) and ``backward(dlogits, caches)``
+    returns the gradients by parameter name.
+    """
+    history: list[EpochStats] = []
+    count = x.shape[0]
+    for epoch in range(cfg.epochs):
+        lr = learning_rate(cfg, epoch)
+        order = rng.permutation(count)
+        loss_sum = 0.0
+        correct = 0
+        for start in range(0, count, cfg.batch_size):
+            where = f"epoch {epoch}, batch {start // cfg.batch_size}, lr {lr:g}"
+            idx = order[start : start + cfg.batch_size]
+            yb = y[idx]
+            try:
+                logits, caches = forward(x[idx])
+            except NumericsError as exc:
+                raise TrainingDivergedError(f"{exc} at {where}") from exc
+            loss, dlogits = layers.bce_with_logits(logits, yb)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(
+                    f"loss became {loss} at {where}; lower lr0 or inspect the input scaling"
+                )
+            for name, g in backward(dlogits, caches).items():
+                params[name] -= lr * g
+            loss_sum += loss * len(idx)
+            correct += int(np.sum((logits >= 0.0) == (yb == 1.0)))
+        history.append(EpochStats(epoch, lr, loss_sum / count, correct / count))
+    return history
 
 
 def train(
@@ -116,48 +144,23 @@ def train(
     want = (model.config.seq_len, *model.config.frame_shape)
     if x.shape[1:] != want:
         raise ValueError(f"sequences shaped {x.shape[1:]} do not fit model {want}")
-    rng = _rng(cfg.seed)
-    history: list[EpochStats] = []
-    count = x.shape[0]
-    for epoch in range(cfg.epochs):
-        lr = learning_rate(cfg, epoch)
-        order = rng.permutation(count)
-        loss_sum = 0.0
-        correct = 0
-        for start in range(0, count, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb, yb = x[idx], y[idx]
-            try:
-                logits, caches = _forward_batch(xb, model, with_cache=True)
-            except NumericsError as exc:
-                raise TrainingDivergedError(
-                    f"{exc} at epoch {epoch}, batch {start // cfg.batch_size}, "
-                    f"lr {lr:g}"
-                ) from exc
-            loss, dlogits = layers.bce_with_logits(logits, yb)
-            _check_finite(loss, epoch, start // cfg.batch_size, lr)
-            grads = _backward_batch(dlogits, caches, model)
-            for name, g in grads.items():
-                model.params[name] -= lr * g
-            loss_sum += loss * len(idx)
-            correct += int(np.sum((logits >= 0.0) == (yb == 1.0)))
-        history.append(EpochStats(epoch, lr, loss_sum / count, correct / count))
+    history = _sgd(
+        model.params, x, y, cfg, _rng(cfg.seed),
+        lambda xb: _forward_batch(xb, model, with_cache=True),
+        lambda dlogits, caches: _backward_batch(dlogits, caches, model),
+    )
     return model, history
 
 
-def pretrain_time_convs(
-    dataset, cfg: TrainConfig, config: TransDopeConfig | None = None
-) -> PretrainResult:
-    """Fit conv1/conv2 on single frames behind a temporary linear head.
+def pretrain_time_convs(dataset, cfg: TrainConfig, config: TransDopeConfig) -> PretrainResult:
+    """Fit conv1/conv2 on single frames behind a one-wide embedding.
 
-    The throwaway head is discarded; only the convolution weights survive.
-    Frames see the same fixed input scaling the full model applies, so the
-    transferred filters meet identically distributed activations.
+    The embedding's single column is each frame's logit; it is discarded and
+    only the convolution weights survive.  Frames pass through
+    ``embed_frame`` itself, so the transferred filters meet the same input
+    scaling and identically distributed activations.
     """
     x, y = _as_xy(dataset, expect_seq=False)
-    if config is None:
-        n, p, c = x.shape[1:]
-        config = TransDopeConfig(range_bins=n, doppler_bins=p, channels=c)
     if x.shape[1:] != config.frame_shape:
         raise ValueError(f"frames shaped {x.shape[1:]} do not fit config {config.frame_shape}")
 
@@ -170,48 +173,30 @@ def pretrain_time_convs(
         "conv1_b": np.zeros(f),
         "conv2_w": init((k, k, f, f), k * k * f),
         "conv2_b": np.zeros(f),
-        "fc_w": init((feat, 1), feat),
-        "fc_b": np.zeros(1),
+        "embed_w": init((feat, 1), feat),
+        "embed_b": np.zeros(1),
     }
+    model = TransDopeModel(config=config, params=params)
 
-    history: list[EpochStats] = []
-    count = x.shape[0]
-    for epoch in range(cfg.epochs):
-        lr = learning_rate(cfg, epoch)
-        order = rng.permutation(count)
-        loss_sum = 0.0
-        correct = 0
-        for start in range(0, count, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb = x[idx] * config.input_scale
-            yb = y[idx]
-            feats, conv_cache = _conv_stack_forward(xb, params, with_cache=True)
-            flat = feats.reshape(len(idx), feat)
-            out, _ = layers.linear_forward(flat, params["fc_w"], params["fc_b"])
-            logits = out[:, 0]
-            loss, dlogits = layers.bce_with_logits(logits, yb)
-            _check_finite(loss, epoch, start // cfg.batch_size, lr)
+    def forward(xb):
+        caches = []
+        # Looked up on the module, so perfbench/tracing.py's wrapper counts it.
+        return tdmodel.embed_frame(model, xb, caches)[:, 0], caches
 
-            grads: dict[str, np.ndarray] = {}
-            dflat, grads["fc_w"], grads["fc_b"] = layers.linear_backward(
-                dlogits[:, None], (flat, params["fc_w"])
-            )
-            _conv_stack_backward(dflat.reshape(feats.shape), conv_cache, grads)
-            for name, g in grads.items():
-                params[name] -= lr * g
-            loss_sum += loss * len(idx)
-            correct += int(np.sum((logits >= 0.0) == (yb == 1.0)))
-        history.append(EpochStats(epoch, lr, loss_sum / count, correct / count))
+    def backward(dlogits, caches):
+        grads: dict[str, np.ndarray] = {}
+        _embed_backward(dlogits[:, None], caches, model, grads)
+        return grads
 
+    history = _sgd(params, x, y, cfg, rng, forward, backward)
     weights = {name: params[name].copy() for name in CONV_PARAM_NAMES}
     return PretrainResult(weights=weights, history=history)
 
 
-def apply_pretrained(model: TransDopeModel, pretrained) -> TransDopeModel:
+def apply_pretrained(model: TransDopeModel, pretrained: PretrainResult) -> TransDopeModel:
     """Copy pretrained convolution weights into the model, bit for bit."""
-    weights = getattr(pretrained, "weights", pretrained)
     for name in CONV_PARAM_NAMES:
-        src = np.asarray(weights[name], dtype=np.float64)
+        src = np.asarray(pretrained.weights[name], dtype=np.float64)
         if src.shape != model.params[name].shape:
             raise ValueError(
                 f"pretrained {name} shape {src.shape} does not match "

@@ -114,6 +114,25 @@ def test_generate_rejects_unknown_preset(work, capsys):
         ])
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--config"),
+    ("infer", "--seed"),
+    ("infer", "--config"),
+    ("consume", "--seed"),
+    ("consume", "--config"),
+])
+def test_commands_reject_options_they_do_not_read(command, flag, capsys):
+    required = {
+        "train": ["--data", "d.ards", "--out", "m.tdop"],
+        "infer": ["--model", "m.tdop", "--data", "d.ards"],
+        "consume": [],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command, *required, flag, "1"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train
 

@@ -9,6 +9,7 @@ import pytest
 from mmsentry.transdope import (
     CheckpointError,
     NumericsError,
+    PretrainResult,
     SlidingClassifier,
     TrainConfig,
     TrainingDivergedError,
@@ -28,6 +29,7 @@ from mmsentry.transdope import (
     train,
 )
 from mmsentry.transdope import layers
+from mmsentry.transdope import model as tdmodel
 from mmsentry.transdope.model import _backward_batch, _forward_batch, param_spec
 
 from oracles import (
@@ -540,12 +542,37 @@ def test_pretrain_rejects_empty_or_mismatched_data():
         pretrain_time_convs(separable_frames(4, 0), cfg, config=TransDopeConfig())
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pretrain_divergence_names_epoch_and_batch():
+    # The loss stays finite at lr0=1e8 on these frames; at 1e200 the first
+    # step overflows the weights.
+    data = separable_frames(16, seed=32)
+    with pytest.raises(TrainingDivergedError, match="at epoch 0, batch 1,"):
+        pretrain_time_convs(data, TrainConfig(epochs=5, batch_size=4, lr0=1e200), config=TINY)
+
+
+def test_pretrain_runs_through_traceable_embed_frame(monkeypatch):
+    # perfbench/tracing.py wraps the model module's attribute; pretraining
+    # must look embed_frame up there to be seen.
+    calls = []
+    inner = tdmodel.embed_frame
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(tdmodel, "embed_frame", counting)
+    cfg = TrainConfig(epochs=3, batch_size=8, lr0=0.2, seed=1)
+    pretrain_time_convs(separable_frames(20, seed=33), cfg, config=TINY)
+    assert len(calls) == 3 * 3  # epochs x ceil(20 / 8) batches
+
+
 def test_apply_pretrained_rejects_wrong_shapes():
     model = TransDopeModel.initialize(TINY, seed=0)
     bad = {name: np.zeros((1, 1)) for name in
            ("conv1_w", "conv1_b", "conv2_w", "conv2_b")}
     with pytest.raises(ValueError):
-        apply_pretrained(model, bad)
+        apply_pretrained(model, PretrainResult(weights=bad, history=[]))
 
 
 def test_evaluate_agrees_with_forward():
