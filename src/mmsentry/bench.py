@@ -119,27 +119,6 @@ class BenchReport:
         return "\n".join(lines)
 
 
-def _burst_pool(config: RadarConfig, seed: int, size: int) -> list[bytes]:
-    """Encoded wire frames for one scene take, cycled by the feed loop."""
-    scene = scene_sim.make_scene("person_with_metal", seed, config)
-    horizon = scene_sim.scene_horizon_s(scene, config)
-    frames = []
-    for i in range(size):
-        t = (i / config.burst_rate_hz) % horizon
-        burst = scene_sim.synthesize_burst(scene, config, t, burst_id=i)
-        frames.append(
-            stream.encode_frame(
-                stream.WireFrame(
-                    kind=stream.KIND_BURST,
-                    burst_id=i,
-                    timestamp_us=int(t * 1e6),
-                    payload=stream.encode_burst_payload(burst),
-                )
-            )
-        )
-    return frames
-
-
 def _decode_stage(raw: bytes, config: RadarConfig):
     frame = stream.decode_frame(raw)
     return stream.decode_burst_payload(
@@ -206,7 +185,11 @@ def run_bench(
         raise ValueError(
             f"radar frames {config.ard_shape} do not fit model {model.config.frame_shape}"
         )
-    pool = _burst_pool(config, seed, min(bursts, DEFAULT_POOL))
+    source = stream.SceneSource("person_with_metal", seed, config)
+    pool = [
+        source.next_payload(i, int(i / config.burst_rate_hz * 1e6))
+        for i in range(min(bursts, DEFAULT_POOL))
+    ]
     classifier = SlidingClassifier(model)
     # warm caches and fill the window outside the timed region
     for raw in pool[: model.config.seq_len]:

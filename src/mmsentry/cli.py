@@ -47,6 +47,13 @@ def load_radar_config(path: str | Path | None) -> RadarConfig:
     return RadarConfig(**overrides)
 
 
+def _csv_out(path: str | None):
+    """The file CSV rows go to: ``path``, or stdout when it is omitted or "-"."""
+    if path in (None, "-"):
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="")
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=7, help="deterministic RNG seed")
     parser.add_argument("--config", default=None, help="key=value radar config file")
@@ -160,8 +167,7 @@ def cmd_infer(args) -> int:
         (i, int(ds.labels[i]), f"{p:.6f}", int(p >= 0.5))
         for i, p in enumerate(probabilities)
     ]
-    out = args.out or "-"
-    with contextlib.nullcontext(sys.stdout) if out == "-" else open(out, "w", newline="") as fh:
+    with _csv_out(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "label", "probability", "decision"])
         writer.writerows(rows)
@@ -176,19 +182,16 @@ def cmd_infer(args) -> int:
 
 def cmd_produce(args) -> int:
     config = load_radar_config(args.config)
-    source = args.replay if args.replay else args.preset
-    stats = stream.run_producer(
-        source,
-        endpoint=args.endpoint,
-        rate_hz=args.rate,
-        seed=args.seed,
-        config=config,
-        max_bursts=args.max_bursts,
+    if args.replay:
+        source = stream.ReplaySource(args.replay, config)
+    else:
+        source = stream.SceneSource(args.preset, args.seed, config)
+    producer = stream.BurstProducer(
+        source, endpoint=args.endpoint, rate_hz=args.rate, max_bursts=args.max_bursts
     )
-    print(
-        f"produced {stats.sent} bursts ({stats.dropped} dropped, "
-        f"{stats.reconnects} reconnects)"
-    )
+    producer.serve()
+    s = producer.stats
+    print(f"produced {s.sent} bursts ({s.dropped} dropped, {s.reconnects} reconnects)")
     return 0
 
 
@@ -196,15 +199,12 @@ def cmd_consume(args) -> int:
     model = ckpt.load_model(args.model) if args.model else None
     consumer = stream.BurstConsumer(args.endpoint, model=model)
     try:
-        detections = consumer.detections(max_bursts=args.max_bursts)
-        if args.out:
-            count = stream.write_detections_csv(args.out, detections)
-            print(f"wrote {count} detections to {args.out}")
-        else:
-            for det in detections:
-                print(
-                    f"{det.last_burst_id},{det.probability:.6f},"
-                    f"{det.decision},{det.latency_us}"
+        with _csv_out(args.out) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["burst_id", "probability", "decision", "latency_us"])
+            for det in consumer.detections(max_bursts=args.max_bursts):
+                writer.writerow(
+                    [det.last_burst_id, f"{det.probability:.6f}", det.decision, det.latency_us]
                 )
     finally:
         consumer.close()
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("consume", help="classify a live burst stream")
     c.add_argument("--endpoint", default="127.0.0.1:9017")
     c.add_argument("--model", default=None, help="checkpoint path (omit for decode-only)")
-    c.add_argument("--out", default=None, help="detections CSV path")
+    c.add_argument("--out", default=None, help="detections CSV path (default stdout)")
     c.add_argument("--max-bursts", type=int, default=None)
     c.set_defaults(func=cmd_consume)
 

@@ -33,6 +33,7 @@ FLICKER_RANGE = (0.3, 1.0)
 
 DEFAULT_NOISE_STD = 0.05
 CROWD_SIZE = 5
+_HORIZON_MARGIN = 0.02
 
 
 class SceneError(ValueError):
@@ -242,12 +243,12 @@ def make_scene(
     )
 
 
-def scene_horizon_s(scene: Scene, config: RadarConfig, margin: float = 0.02) -> float:
-    """Seconds until any scatterer drifts within ``margin * max_range`` of a
-    range boundary.  Long-running producers restart the scene before this.
+def scene_horizon_s(scene: Scene, config: RadarConfig) -> float:
+    """Seconds until any scatterer drifts within ``_HORIZON_MARGIN * max_range``
+    of a range boundary.  Long-running producers restart the scene before this.
     """
     r_max = max_range(config)
-    lo, hi = margin * r_max, (1.0 - margin) * r_max
+    lo, hi = _HORIZON_MARGIN * r_max, (1.0 - _HORIZON_MARGIN) * r_max
     horizon = float("inf")
     for s in scene.scatterers:
         if s.velocity_mps > 0.0:

@@ -13,14 +13,15 @@ Frame layout, all integers little-endian:
     24+n    4     crc32 (zlib) over header+payload
 
 Burst payloads carry the raw complex samples as interleaved float32 I/Q in
-(chirp, sample, channel) order.  The producer never queues more than one
+(chirp, sample, channel) order.  A paced producer never queues more than one
 burst: while the socket is blocked, newly generated bursts overwrite the
 single pending slot and a drop counter increments (keep-latest, depth 1).
+A lossless producer (rate 0) sends each burst before it generates the next,
+so it drops nothing.
 """
 
 from __future__ import annotations
 
-import csv
 import socket
 import struct
 import threading
@@ -46,6 +47,7 @@ _CRC = struct.Struct("<I")
 _CONFIG_PAYLOAD = struct.Struct("<HHHdddd")
 
 MAX_PAYLOAD = 1 << 26  # corruption guard; a default burst is ~24 KiB
+_CONNECT_TIMEOUT_S = 5.0  # how long a consumer retries a producer that is not up yet
 
 
 class ProtocolError(ValueError):
@@ -278,12 +280,11 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
 
 
 class _LatestSlot:
-    """Depth-1 hand-off between the burst generator and the socket writer."""
+    """Depth-1 hand-off between the paced generator and the socket writer."""
 
     def __init__(self):
         self._cond = threading.Condition()
         self._item = None
-        self._closed = False
 
     def put_latest(self, item) -> bool:
         """Replace any pending item; returns True if one was overwritten."""
@@ -293,36 +294,26 @@ class _LatestSlot:
             self._cond.notify()
             return dropped
 
-    def put_wait(self, item):
-        """Lossless variant: block until the slot is free."""
-        with self._cond:
-            while self._item is not None and not self._closed:
-                self._cond.wait(0.1)
-            if not self._closed:
-                self._item = item
-                self._cond.notify()
-
     def take(self, timeout: float):
         with self._cond:
             if self._item is None:
                 self._cond.wait(timeout)
             item, self._item = self._item, None
-            self._cond.notify()
             return item
-
-    def close(self):
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
 
 
 @dataclass
 class ProducerStats:
-    generated: int = 0
     sent: int = 0
     dropped: int = 0
     reconnects: int = 0
-    takes: int = 0
+
+
+def _burst_frame(burst_id: int, timestamp_us: int, payload: bytes) -> bytes:
+    """One encoded burst frame carrying ``payload`` under the stream's id and clock."""
+    return encode_frame(
+        WireFrame(kind=KIND_BURST, burst_id=burst_id, timestamp_us=timestamp_us, payload=payload)
+    )
 
 
 class SceneSource:
@@ -333,20 +324,17 @@ class SceneSource:
     and local time restarts while burst ids keep counting up.
     """
 
-    def __init__(self, preset: str, seed: int, config: RadarConfig, noise_std: float | None = None):
+    def __init__(self, preset: str, seed: int, config: RadarConfig):
         self.preset = preset
         self.seed = seed
         self.config = config
-        self.noise_std = scene_sim.DEFAULT_NOISE_STD if noise_std is None else noise_std
         self.takes = 0
         self._local_index = 0
         self._next_take()
 
     def _next_take(self):
         take_seed = int(scene_sim.rng_from_seed(self.seed, self.takes).integers(0, 2**63))
-        self.scene = scene_sim.make_scene(
-            self.preset, take_seed, self.config, noise_std=self.noise_std
-        )
+        self.scene = scene_sim.make_scene(self.preset, take_seed, self.config)
         self._horizon = scene_sim.scene_horizon_s(self.scene, self.config)
         self._local_index = 0
         self.takes += 1
@@ -358,14 +346,7 @@ class SceneSource:
             t = 0.0
         burst = scene_sim.synthesize_burst(self.scene, self.config, t, burst_id=burst_id)
         self._local_index += 1
-        # re-wrap with the stream's own id and clock
-        frame = WireFrame(
-            kind=KIND_BURST,
-            burst_id=burst_id,
-            timestamp_us=timestamp_us,
-            payload=encode_burst_payload(burst),
-        )
-        return encode_frame(frame)
+        return _burst_frame(burst_id, timestamp_us, encode_burst_payload(burst))
 
 
 class ReplaySource:
@@ -394,25 +375,23 @@ class ReplaySource:
         if not payloads:
             raise ValueError(f"capture file {path} holds no burst frames")
         self.config = file_config or config or RadarConfig()
-        self.takes = 1
         self._payloads = payloads
         self._index = 0
 
     def next_payload(self, burst_id: int, timestamp_us: int) -> bytes:
         payload = self._payloads[self._index % len(self._payloads)]
         self._index += 1
-        frame = WireFrame(
-            kind=KIND_BURST, burst_id=burst_id, timestamp_us=timestamp_us, payload=payload
-        )
-        return encode_frame(frame)
+        return _burst_frame(burst_id, timestamp_us, payload)
 
 
 class BurstProducer:
     """Serves one consumer at a time; reconnections resume the id sequence.
 
-    rate_hz > 0 paces bursts on absolute deadlines and applies the depth-1
-    keep-latest drop policy when the socket cannot keep up.  rate_hz == 0
-    streams losslessly as fast as the socket drains (soak mode).
+    rate_hz > 0 paces bursts on absolute deadlines from a ticker thread and
+    applies the depth-1 keep-latest drop policy when the socket cannot keep
+    up.  rate_hz == 0 generates and sends each burst on the connection's own
+    thread, as fast as the socket drains, and drops nothing (soak mode); its
+    timestamps follow the config's burst rate, not the wall clock.
     """
 
     def __init__(
@@ -497,6 +476,13 @@ class BurstProducer:
         )
         conn.sendall(encode_frame(config_frame))
 
+        if not self.rate_hz:
+            while not self._stop.is_set() and self._quota_left():
+                stamp = int(self._next_id / self.source.config.burst_rate_hz * 1e6)
+                conn.sendall(self._next_burst(stamp))
+                self.stats.sent += 1
+            return
+
         slot = _LatestSlot()
         done = threading.Event()
         ticker = threading.Thread(
@@ -505,59 +491,36 @@ class BurstProducer:
         ticker.start()
         try:
             while True:
+                # read done before the take, so a burst put just before it is set is still sent
+                finished = done.is_set()
                 data = slot.take(timeout=0.1)
                 if data is None:
-                    if done.is_set():
+                    if finished:
                         break
                     continue
                 conn.sendall(data)
                 self.stats.sent += 1
         finally:
             done.set()
-            slot.close()
             ticker.join()
-            self.stats.takes = getattr(self.source, "takes", 0)
+
+    def _next_burst(self, timestamp_us: int) -> bytes:
+        data = self.source.next_payload(self._next_id, timestamp_us)
+        self._next_id += 1
+        return data
 
     def _generate(self, slot: _LatestSlot, done: threading.Event):
-        period = 1.0 / self.rate_hz if self.rate_hz > 0 else 0.0
+        """Paced mode's ticker: one burst per period into the keep-latest slot."""
+        period = 1.0 / self.rate_hz
         next_deadline = time.monotonic() + period
         while not done.is_set() and not self._stop.is_set() and self._quota_left():
-            if period:
-                now = time.monotonic()
-                if now < next_deadline:
-                    time.sleep(next_deadline - now)
-                stamp = self._now_us()
-                next_deadline += period
-            else:
-                stamp = int(self._next_id / self.source.config.burst_rate_hz * 1e6)
-            data = self.source.next_payload(self._next_id, stamp)
-            self._next_id += 1
-            self.stats.generated += 1
-            if period:
-                if slot.put_latest(data):
-                    self.stats.dropped += 1
-            else:
-                slot.put_wait(data)
+            now = time.monotonic()
+            if now < next_deadline:
+                time.sleep(next_deadline - now)
+            next_deadline += period
+            if slot.put_latest(self._next_burst(self._now_us())):
+                self.stats.dropped += 1
         done.set()
-
-
-def run_producer(
-    source,
-    endpoint: str = "127.0.0.1:9017",
-    rate_hz: float = 25.0,
-    seed: int = 7,
-    config: RadarConfig | None = None,
-    max_bursts: int | None = None,
-) -> ProducerStats:
-    """Blocking service loop; ``source`` is a preset name or a capture path."""
-    config = config or RadarConfig()
-    if isinstance(source, (str, Path)) and str(source) in scene_sim.PRESETS:
-        source = SceneSource(str(source), seed, config)
-    elif isinstance(source, (str, Path)):
-        source = ReplaySource(source, config)
-    producer = BurstProducer(source, endpoint=endpoint, rate_hz=rate_hz, max_bursts=max_bursts)
-    producer.serve()
-    return producer.stats
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +555,10 @@ class BurstConsumer:
         model=None,
         config: RadarConfig | None = None,
         rcvbuf: int | None = None,
-        connect_timeout: float = 5.0,
     ):
         self.endpoint = endpoint
         self.model = model
         self.rcvbuf = rcvbuf
-        self.connect_timeout = connect_timeout
         self.stats = ConsumerStats()
         self._sock: socket.socket | None = None
         self._window = None
@@ -618,7 +579,7 @@ class BurstConsumer:
 
     def connect(self):
         host, port = parse_endpoint(self.endpoint)
-        deadline = time.monotonic() + self.connect_timeout
+        deadline = time.monotonic() + _CONNECT_TIMEOUT_S
         while True:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             if self.rcvbuf is not None:
@@ -712,20 +673,3 @@ class BurstConsumer:
             decision=int(probability >= 0.5),
             latency_us=int(latency_us),
         )
-
-
-CSV_FIELDS = ("burst_id", "probability", "decision", "latency_us")
-
-
-def write_detections_csv(path: str | Path, detections) -> int:
-    """Stream detections to CSV as they arrive; returns the row count."""
-    count = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        for det in detections:
-            writer.writerow(
-                [det.last_burst_id, f"{det.probability:.6f}", det.decision, det.latency_us]
-            )
-            count += 1
-    return count

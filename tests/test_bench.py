@@ -2,11 +2,15 @@
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mmsentry import stream
 from mmsentry.bench import BenchReport, StageStats, machine_descriptor, run_bench
 from mmsentry.radar_core import RadarConfig
 from mmsentry.transdope import TransDopeConfig, TransDopeModel
@@ -124,3 +128,37 @@ def test_perfbench_traced_functions_exist():
         module = importlib.import_module(module_path)
         owner = getattr(module, owner_name) if owner_name else module
         assert callable(getattr(owner, attr, None)), f"{name}: {attr} is gone from {module_path}"
+
+
+def test_perfbench_generator_serves_a_capture(tmp_path):
+    """perfbench/generator.py replays a capture through ReplaySource to a BurstConsumer."""
+    source = stream.SceneSource("person", 1, SMALL)
+    config_frame = stream.WireFrame(
+        kind=stream.KIND_CONFIG, burst_id=0, timestamp_us=0,
+        payload=stream.encode_config_payload(SMALL),
+    )
+    capture = tmp_path / "capture.bin"
+    capture.write_bytes(
+        stream.encode_frame(config_frame) + b"".join(source.next_payload(i, 0) for i in range(3))
+    )
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "generator.py"
+    proc = subprocess.Popen(
+        [sys.executable, str(script), "--capture", str(capture), "--bursts", "5", "--rate", "200"],
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        port = json.loads(proc.stdout.readline())["port"]
+        consumer = stream.BurstConsumer(f"127.0.0.1:{port}")
+        list(consumer.detections())
+        consumer.close()
+        out, _ = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0
+    assert json.loads(out.strip().splitlines()[-1])["sent"] == 5
+    stats = consumer.stats
+    assert stats.bursts == 5
+    assert stats.configs == 1
+    assert (stats.crc_errors, stats.other_errors, stats.skipped_bursts,
+            stats.order_regressions) == (0, 0, 0, 0)

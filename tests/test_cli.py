@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from mmsentry import cli, dataset_io
+from mmsentry import cli, dataset_io, stream
 from mmsentry.radar_core import RadarConfig
 from mmsentry.transdope import load_model
 
@@ -256,7 +256,45 @@ def test_consume_with_model_writes_detections(work, tmp_path, capsys):
     assert rows[0] == ["burst_id", "probability", "decision", "latency_us"]
     assert len(rows) == 1 + 3  # 10 bursts through an 8-frame window
     assert [r[0] for r in rows[1:]] == ["7", "8", "9"]
-    assert "wrote 3 detections" in captured.out
+    assert "detections=3" in captured.err
+
+
+def test_consume_writes_the_same_csv_to_stdout(work, capsys):
+    endpoint = f"127.0.0.1:{free_port()}"
+    thread, result = produce_in_thread([
+        "produce", "--preset", "person_with_metal", "--endpoint", endpoint,
+        "--rate", "0", "--max-bursts", "10", "--config", str(work["config"]),
+        "--seed", "5",
+    ])
+    rc = cli.main([
+        "consume", "--endpoint", endpoint, "--model", str(work["ckpt"]),
+        "--max-bursts", "10",
+    ])
+    thread.join(timeout=15.0)
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert result["rc"] == 0
+    # the producer thread shares stdout; its summary line is not CSV
+    lines = [line for line in captured.out.splitlines() if not line.startswith("produced")]
+    rows = list(csv.reader(lines))
+    assert rows[0] == ["burst_id", "probability", "decision", "latency_us"]
+    assert [r[0] for r in rows[1:]] == ["7", "8", "9"]
+    for burst_id, probability, decision, latency_us in rows[1:]:
+        assert len(probability.split(".")[1]) == 6
+        assert decision == ("1" if float(probability) >= 0.5 else "0")
+        assert int(latency_us) >= 0
+
+
+def test_produce_replay_serves_the_named_file(tmp_path, monkeypatch):
+    # "empty" is also a scene preset; --replay must still read the file
+    scene = stream.SceneSource("person", 1, RadarConfig())
+    (tmp_path / "empty").write_bytes(scene.next_payload(0, 0))
+    monkeypatch.chdir(tmp_path)
+    served = []
+    monkeypatch.setattr(stream.BurstProducer, "serve", lambda self: served.append(self.source))
+    assert cli.main(["produce", "--replay", "empty"]) == 0
+    assert len(served) == 1
+    assert isinstance(served[0], stream.ReplaySource)
 
 
 # ---------------------------------------------------------------------------
