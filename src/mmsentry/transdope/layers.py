@@ -52,17 +52,15 @@ def conv2d_backward(dy: np.ndarray, cache):
     cols, w, x_shape = cache
     kh, kw, cin, cout = w.shape
     pad_h, pad_w = kh // 2, kw // 2
-    bs, h, wd, k = cols.shape
+    bs, h, wd, _ = cols.shape
     dw, db = conv2d_param_grads(dy, cache)
-    dcols = (dy.reshape(bs * h * wd, cout) @ w.reshape(k, cout).T).reshape(bs, h, wd, k)
+    dyf = dy.reshape(-1, cout)
+    # col2im one kernel offset at a time: no (rows, kh*kw*cin) array is built
     dxp = np.zeros((bs, h + 2 * pad_h, wd + 2 * pad_w, cin), dtype=dy.dtype)
-    i = 0
     for ddy in range(kh):
         for ddx in range(kw):
-            dxp[:, ddy:ddy + h, ddx:ddx + wd, :] += dcols[..., i * cin:(i + 1) * cin]
-            i += 1
-    dx = dxp[:, pad_h:pad_h + x_shape[1], pad_w:pad_w + x_shape[2], :]
-    return dx, dw, db
+            dxp[:, ddy:ddy + h, ddx:ddx + wd, :] += (dyf @ w[ddy, ddx].T).reshape(bs, h, wd, cin)
+    return dxp[:, pad_h:pad_h + x_shape[1], pad_w:pad_w + x_shape[2], :], dw, db
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +94,17 @@ def maxpool2_forward(x: np.ndarray):
 
 def maxpool2_backward(dy: np.ndarray, cache) -> np.ndarray:
     x, y = cache
-    dx = np.zeros(x.shape, dtype=dy.dtype)
-    unrouted = np.ones(y.shape, dtype=bool)
-    # the first position holding the maximum, in argmax order, gets the gradient
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        hit = x[:, i::2, j::2] == y
-        hit &= unrouted
-        np.copyto(dx[:, i::2, j::2], dy, where=hit)
-        unrouted &= ~hit
-    return dx
+    b, h, w, c = x.shape
+    hit = x.reshape(b, h // 2, 2, w // 2, 2, c) == y[:, :, None, :, None, :]
+    # keep the first hit in argmax order; on booleans ``a > b`` is ``a and not b``
+    h00, h01, h10, h11 = (hit[:, :, i, :, j] for i in (0, 1) for j in (0, 1))
+    np.greater(h01, h00, out=h01)
+    seen = h00 | h01
+    np.greater(h10, seen, out=h10)
+    np.greater(h11, seen | h10, out=h11)
+    # dy's bits where hit, +0.0 elsewhere: exact where a multiply is not (-0.0, inf)
+    dx = dy[:, :, None, :, None, :].view(f"i{dy.itemsize}") & -hit.view(np.int8)
+    return dx.view(dy.dtype).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The range-Doppler sequence classifier.
 
-Per frame: two shared-weight 3x3 convolutions, each followed by ReLU and 2x2
-max pooling, then a dense projection of the flattened feature maps into an
-embedding with fixed sinusoidal positional encoding.  The token sequence runs
+Per frame: two shared-weight 3x3 convolutions, each followed by 2x2 max
+pooling and then ReLU (ReLU is monotone, so this equals ReLU then pooling, on
+a quarter of the elements), then a dense projection of the flattened maps into
+an embedding with fixed sinusoidal positional encoding.  The token sequence runs
 through pre-norm encoder blocks in which a width-3 convolution along the
 token axis replaces the usual dense feed-forward:
 
@@ -232,8 +233,8 @@ def embed_frame(model: TransDopeModel, frames: np.ndarray, caches: list | None =
     x = np.asarray(frames, dtype=np.float64) * cfg.input_scale
     for conv in ("conv1", "conv2"):
         x = _keep(layers.conv2d_forward(x, p[conv + "_w"], p[conv + "_b"]), stage)
-        x = _keep(layers.relu_forward(x), stage)
         x = _keep(layers.maxpool2_forward(x), stage)
+        x = _keep(layers.relu_forward(x), stage)
     flat = x.reshape(len(x), cfg.feature_count)
     if caches is not None:
         caches.append((*stage, flat))
@@ -246,15 +247,15 @@ def _embed_backward(demb: np.ndarray, caches: list, model: TransDopeModel, grads
 
     ``caches`` is the list :func:`embed_frame` appended to; its entry comes first.
     """
-    cc1, m1, cp1, cc2, m2, cp2, flat = caches[0]
+    cc1, cp1, m1, cc2, cp2, m2, flat = caches[0]
     dflat, grads["embed_w"], grads["embed_b"] = layers.linear_backward(
         demb, (flat, model.params["embed_w"])
     )
-    d = layers.maxpool2_backward(dflat.reshape(len(flat), *model.config.pooled_shape), cp2)
-    d = layers.relu_backward(d, m2)
+    d = layers.relu_backward(dflat.reshape(len(flat), *model.config.pooled_shape), m2)
+    d = layers.maxpool2_backward(d, cp2)
     d, grads["conv2_w"], grads["conv2_b"] = layers.conv2d_backward(d, cc2)
-    d = layers.maxpool2_backward(d, cp1)
     d = layers.relu_backward(d, m1)
+    d = layers.maxpool2_backward(d, cp1)
     grads["conv1_w"], grads["conv1_b"] = layers.conv2d_param_grads(d, cc1)
 
 

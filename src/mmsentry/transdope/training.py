@@ -141,9 +141,7 @@ def train(
 ) -> tuple[TransDopeModel, list[EpochStats]]:
     """Fine-tune the full model in place on labeled 8-frame sequences."""
     x, y = _as_xy(dataset, expect_seq=True)
-    want = (model.config.seq_len, *model.config.frame_shape)
-    if x.shape[1:] != want:
-        raise ValueError(f"sequences shaped {x.shape[1:]} do not fit model {want}")
+    tdmodel._check_sequences(x, model.config)
     history = _sgd(
         model.params, x, y, cfg, _rng(cfg.seed),
         lambda xb: _forward_batch(xb, model, with_cache=True),
@@ -209,6 +207,7 @@ def apply_pretrained(model: TransDopeModel, pretrained: PretrainResult) -> Trans
 def evaluate(model: TransDopeModel, dataset, batch_size: int = 16) -> float:
     """Fraction of sequences classified correctly at threshold 0.5."""
     x, y = _as_xy(dataset, expect_seq=True)
+    tdmodel._check_sequences(x, model.config)
     correct = 0
     for start in range(0, x.shape[0], batch_size):
         xb = x[start : start + batch_size]

@@ -2,8 +2,10 @@
 
 The DSP references are O(N^2) basis-matrix arithmetic on purpose; keep them
 free of np.fft so the two routes share no code.  The layer references are
-the straightforward loop im2col and argmax pooling that the strided layers
-in ``transdope.layers`` must match bit for bit.
+the straightforward loop im2col, ``dcols`` col2im and argmax pooling that
+the layers in ``transdope.layers`` must match bit for bit, and a conv
+stack composed of them with ReLU before pooling, which
+``model.embed_frame`` must match although it pools before ReLU.
 """
 
 import numpy as np
@@ -83,3 +85,58 @@ def oracle_maxpool2_backward(dy: np.ndarray, idx: np.ndarray, x_shape) -> np.nda
         .transpose(0, 1, 4, 2, 5, 3)
         .reshape(b, h, w, c)
     )
+
+
+def oracle_conv2d_input_grad(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Input gradient of the same-padded convolution: one (rows, kh*kw*cin)
+    ``dcols`` product, then col2im by a loop over the kernel offsets."""
+    kh, kw, cin, cout = w.shape
+    bs, h, wd, _ = dy.shape
+    k = kh * kw * cin
+    dcols = (dy.reshape(-1, cout) @ w.reshape(k, cout).T).reshape(bs, h, wd, k)
+    dxp = np.zeros((bs, h + kh - 1, wd + kw - 1, cin), dtype=dy.dtype)
+    i = 0
+    for ddy in range(kh):
+        for ddx in range(kw):
+            dxp[:, ddy:ddy + h, ddx:ddx + wd, :] += dcols[..., i * cin:(i + 1) * cin]
+            i += 1
+    return dxp[:, kh // 2:kh // 2 + h, kw // 2:kw // 2 + wd, :]
+
+
+def oracle_conv_stack_forward(params: dict, frames: np.ndarray, scale: float):
+    """Frames -> embedding by conv -> ReLU -> argmax pool, twice, then the
+    dense embedding; returns (embedding, cache for the backward)."""
+    x = np.asarray(frames, dtype=np.float64) * scale
+    stages = []
+    for conv in ("conv1", "conv2"):
+        w = params[conv + "_w"]
+        kh, kw, cin, cout = w.shape
+        xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+        cols = oracle_im2col(xp, kh, kw)
+        pre = cols.reshape(-1, kh * kw * cin) @ w.reshape(-1, cout) + params[conv + "_b"]
+        pre = pre.reshape(*x.shape[:3], cout)
+        x, idx = oracle_maxpool2_forward(pre * (pre > 0.0))  # ReLU, then pool
+        stages.append((cols, pre, idx))
+    flat = x.reshape(len(x), -1)
+    return flat @ params["embed_w"] + params["embed_b"], (stages, x)
+
+
+def oracle_conv_stack_backward(demb: np.ndarray, cache, params: dict) -> dict:
+    """Gradients of every conv-stack and embedding parameter, in the same
+    order: argmax routing, then the full-size ReLU mask."""
+    stages, pooled = cache
+    flat = pooled.reshape(len(pooled), -1)
+    grads = {
+        "embed_w": flat.T @ demb,
+        "embed_b": demb.sum(axis=0),
+    }
+    d = (demb @ params["embed_w"].T).reshape(pooled.shape)
+    for conv, (cols, pre, idx) in zip(("conv2", "conv1"), reversed(stages)):
+        d = oracle_maxpool2_backward(d, idx, pre.shape) * (pre > 0.0)
+        dyf = d.reshape(-1, pre.shape[-1])
+        w = params[conv + "_w"]
+        grads[conv + "_w"] = (cols.reshape(len(dyf), -1).T @ dyf).reshape(w.shape)
+        grads[conv + "_b"] = dyf.sum(axis=0)
+        if conv == "conv2":
+            d = oracle_conv2d_input_grad(d, w)
+    return grads

@@ -34,6 +34,9 @@ from mmsentry.transdope.model import _backward_batch, _forward_batch, param_spec
 
 from oracles import (
     oracle_conv2d_forward,
+    oracle_conv2d_input_grad,
+    oracle_conv_stack_backward,
+    oracle_conv_stack_forward,
     oracle_im2col,
     oracle_maxpool2_backward,
     oracle_maxpool2_forward,
@@ -358,11 +361,18 @@ def pool_input(kind, batch, seed):
     shape = (batch, DEFAULT.range_bins, DEFAULT.doppler_bins, DEFAULT.conv_filters)
     if kind == "relu":
         # -0.0 where the pre-activation is negative: windows of zeros
-        x = rng(seed).normal(size=shape)
-    else:
+        return layers.relu_forward(rng(seed).normal(size=shape))[0]
+    if kind == "ties":
         # small integers: +0.0 and -0.0 zeros and repeated positive maxima
         x = rng(seed).integers(-2, 3, size=shape).astype(np.float64)
-    return layers.relu_forward(x)[0]
+        return layers.relu_forward(x)[0]
+    # raw conv outputs, as the model pools them now: where the 3x3 input
+    # window is all zero after ReLU, every filter outputs its bias exactly
+    x = layers.relu_forward(rng(seed).normal(size=shape))[0]
+    x[:, 8:24] = 0.0
+    bias = rng(seed + 1).normal(size=DEFAULT.conv_filters)
+    w = rng(seed + 2).normal(size=(3, 3, DEFAULT.conv_filters, DEFAULT.conv_filters)) * 0.1
+    return layers.conv2d_forward(x, w, bias)[0]
 
 
 @pytest.mark.parametrize("batch", [1, 64])
@@ -378,6 +388,18 @@ def test_conv2d_forward_matches_loop_im2col(batch):
         assert cols.tobytes() == oracle_im2col(xp, k, k).tobytes()
 
 
+@pytest.mark.parametrize("batch", [1, 64])
+def test_conv2d_input_grad_matches_dcols_col2im(batch):
+    k, c, f = DEFAULT.conv_kernel, DEFAULT.channels, DEFAULT.conv_filters
+    for cin, h, w in ((c, 64, 16), (f, 32, 8)):
+        x = rng(batch).uniform(0.0, 1.0, (batch, h, w, cin))
+        wt = rng(batch + 1).normal(size=(k, k, cin, f))
+        _, cache = layers.conv2d_forward(x, wt, np.zeros(f))
+        dy = rng(batch + 3).normal(size=(batch, h, w, f))
+        dx, _, _ = layers.conv2d_backward(dy, cache)
+        assert dx.tobytes() == oracle_conv2d_input_grad(dy, wt).tobytes()
+
+
 def test_conv2d_param_grads_match_full_backward():
     x = rng(20).uniform(0.0, 1.0, (4, 8, 4, 3))
     _, cache = layers.conv2d_forward(x, rng(21).normal(size=(3, 3, 3, 5)), np.zeros(5))
@@ -388,7 +410,7 @@ def test_conv2d_param_grads_match_full_backward():
     assert pb.tobytes() == db.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["relu", "ties"])
+@pytest.mark.parametrize("kind", ["relu", "ties", "conv_bias", "conv_bias_masked_dy"])
 @pytest.mark.parametrize("batch", [1, 64])
 def test_maxpool2_matches_argmax_reference(kind, batch):
     x = pool_input(kind, batch, seed=batch)
@@ -396,16 +418,86 @@ def test_maxpool2_matches_argmax_reference(kind, batch):
     want_y, idx = oracle_maxpool2_forward(x)
     assert y.tobytes() == want_y.tobytes()
     dy = rng(batch + 7).normal(size=y.shape)
+    if kind == "conv_bias_masked_dy":
+        # what the model's pool backward receives: the pooled ReLU's -0.0s
+        dy = layers.relu_backward(dy, y > 0.0)
+        assert np.any(np.signbit(dy) & (dy == 0.0))
     dx = layers.maxpool2_backward(dy, cache)
     assert dx.tobytes() == oracle_maxpool2_backward(dy, idx, x.shape).tobytes()
 
     # the input really holds the ties the tie-break is about
     windows = np.stack([x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)])
     ties = (windows == y).sum(axis=0) > 1
+    if kind.startswith("conv_bias"):
+        bias = y[0, 8, 2]  # a pooled window inside the zeroed block
+        assert np.all(ties[0, 8, 2]) and np.any(bias > 0.0) and np.any(bias < 0.0)
+        return
     assert np.any(ties & (y == 0.0))
     if kind == "ties":
         assert np.any(ties & (y > 0.0))
         assert np.any(np.signbit(x)) and np.any((x == 0.0) & ~np.signbit(x))
+
+
+def stack_case(kind):
+    """A default-shape model with nonzero conv biases, and 16 frames.
+
+    "radar": positive magnitudes with a zeroed band, so whole windows tie at
+    the biases.  "ties": conv1 reads only its centre tap and the frames are
+    constant over each 2x2 pooling window, so every pool1 window ties on
+    positions whose im2col rows differ: the tie-break moves conv1's gradient.
+    """
+    model = TransDopeModel.initialize(DEFAULT, seed=60)
+    p = model.params
+    p["conv1_b"] = rng(61).normal(size=p["conv1_b"].shape) * 0.1
+    p["conv2_b"] = rng(62).normal(size=p["conv2_b"].shape) * 0.1
+    shape = (16, *DEFAULT.frame_shape)
+    if kind == "radar":
+        frames = rng(63).uniform(0.0, 2000.0, shape)
+        frames[:, 24:40] = 0.0
+    else:
+        half = rng(63).uniform(0.0, 2000.0, (16, shape[1] // 2, shape[2] // 2, shape[3]))
+        frames = half.repeat(2, axis=1).repeat(2, axis=2)
+        centre = p["conv1_w"][1, 1].copy()
+        p["conv1_w"][...] = 0.0
+        p["conv1_w"][1, 1] = centre
+    return model, frames
+
+
+@pytest.mark.parametrize("kind", ["radar", "ties"])
+def test_conv_stack_matches_relu_then_pool_oracle(kind):
+    # Pooling before ReLU is exact: embeddings, gradients (by tobytes, so
+    # -0.0 counts) and one SGD step all match the ReLU-then-pool reference.
+    model, frames = stack_case(kind)
+    caches = []
+    emb = embed_frame(model, frames, caches)
+    want, cache = oracle_conv_stack_forward(model.params, frames, DEFAULT.input_scale)
+    assert emb.tobytes() == want.tobytes()
+
+    demb = rng(64).normal(size=emb.shape)
+    grads = {}
+    tdmodel._embed_backward(demb, caches, model, grads)
+    want_grads = oracle_conv_stack_backward(demb, cache, model.params)
+    assert set(grads) == set(want_grads)
+    for name in grads:
+        assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+    # one SGD step on a one-wide embedding, as pretraining takes it
+    y = (np.arange(len(frames)) % 2).astype(np.float64)
+    model.params["embed_w"] = model.params["embed_w"][:, :1].copy()
+    model.params["embed_b"] = model.params["embed_b"][:1].copy()
+    ref = {name: t.copy() for name, t in model.params.items()}
+    caches = []
+    _, dlogits = layers.bce_with_logits(embed_frame(model, frames, caches)[:, 0], y)
+    grads = {}
+    tdmodel._embed_backward(dlogits[:, None], caches, model, grads)
+    logits, cache = oracle_conv_stack_forward(ref, frames, DEFAULT.input_scale)
+    _, dlogits = layers.bce_with_logits(logits[:, 0], y)
+    want_grads = oracle_conv_stack_backward(dlogits[:, None], cache, ref)
+    for name, g in grads.items():
+        model.params[name] -= 3e-2 * g
+        ref[name] -= 3e-2 * want_grads[name]
+    for name in ref:
+        assert model.params[name].tobytes() == ref[name].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +673,20 @@ def test_evaluate_agrees_with_forward():
     preds = (forward_batch(x, model) >= 0.5).astype(np.float64)
     assert evaluate(model, (x, preds)) == 1.0
     assert evaluate(model, (x, 1.0 - preds)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (4, 8, 16, 64, 3),  # range and Doppler swapped: same size, wrong layout
+        (4, 4, 64, 16, 3),  # seq_len 4 against the model's 8
+    ],
+)
+def test_evaluate_rejects_sequences_that_do_not_fit(shape):
+    model = TransDopeModel.initialize(DEFAULT, seed=3)
+    x = rng(32).uniform(0.0, 1.0, shape)
+    with pytest.raises(ValueError, match="expected a batch of sequences shaped"):
+        evaluate(model, (x, np.array([0.0, 1.0, 0.0, 1.0])))
 
 
 # ---------------------------------------------------------------------------
