@@ -208,12 +208,8 @@ def cmd_consume(args) -> int:
                 )
     finally:
         consumer.close()
-    s = consumer.stats
-    print(
-        f"bursts={s.bursts} detections={s.detections} crc_errors={s.crc_errors} "
-        f"regressions={s.order_regressions}",
-        file=sys.stderr,
-    )
+    counters = dataclasses.asdict(consumer.stats)
+    print(" ".join(f"{name}={value}" for name, value in counters.items()), file=sys.stderr)
     return 0
 
 

@@ -115,14 +115,7 @@ def read_dataset(path: str | Path) -> Dataset:
         raise DatasetFormatError(
             f"{path}: size {len(raw)} does not match {count} records ({expected} bytes)"
         )
-    labels = np.empty(count, dtype=np.uint8)
-    sequences = np.empty((count, t, n, p, c), dtype=np.float32)
-    offset = _HEADER.size
-    for i in range(count):
-        labels[i] = raw[offset]
-        offset += 1
-        sequences[i] = np.frombuffer(
-            raw, dtype="<f4", count=t * n * p * c, offset=offset
-        ).reshape(t, n, p, c)
-        offset += record_bytes - 1
-    return Dataset(sequences=sequences, labels=labels)
+    record = np.dtype([("label", "u1"), ("x", "<f4", (t, n, p, c))])
+    records = np.frombuffer(raw, dtype=record, count=count, offset=_HEADER.size)
+    # copies: owned, aligned arrays instead of views into the packed bytes
+    return Dataset(sequences=records["x"].astype(np.float32), labels=records["label"].copy())

@@ -28,8 +28,6 @@ PRESETS = (
 BODY_AMPLITUDE = (0.2, 0.6)
 METAL_AMPLITUDE = (1.5, 2.5)
 ACCESSORY_AMPLITUDE = (0.05, 0.15)
-# Per-burst metal amplitude jitter when specular flicker is enabled.
-FLICKER_RANGE = (0.3, 1.0)
 
 DEFAULT_NOISE_STD = 0.05
 CROWD_SIZE = 5
@@ -75,7 +73,6 @@ class Scene:
     noise_std: float = DEFAULT_NOISE_STD
     label: int = 0
     rng_seed: int = 0
-    specular_flicker: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "scatterers", tuple(self.scatterers))
@@ -131,12 +128,9 @@ def synthesize_burst(
                 f"range {r_t:.4f} m outside [0, {r_max:.4f}) m"
             )
         b, d = physical_to_bins(r_t, scatterer.velocity_mps, config)
-        amplitude = scatterer.amplitude
-        if scene.specular_flicker and scatterer.is_metal:
-            amplitude *= rng.uniform(*FLICKER_RANGE)
         fast = np.exp(2j * np.pi * b * n_axis / n_samples)
         slow = np.exp(2j * np.pi * d * p_axis / p_chirps)
-        chan = amplitude * np.exp(1j * np.asarray(scatterer.channel_phases))
+        chan = scatterer.amplitude * np.exp(1j * np.asarray(scatterer.channel_phases))
         data += slow[:, None, None] * fast[None, :, None] * chan[None, None, :]
 
     if scene.noise_std > 0.0:
@@ -205,7 +199,6 @@ def make_scene(
     seed: int,
     config: RadarConfig | None = None,
     noise_std: float = DEFAULT_NOISE_STD,
-    specular_flicker: bool = False,
 ) -> Scene:
     """Build a scene from a named preset.
 
@@ -234,13 +227,7 @@ def make_scene(
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
 
     label = int(any(s.is_metal for s in scatterers))
-    return Scene(
-        scatterers=tuple(scatterers),
-        noise_std=noise_std,
-        label=label,
-        rng_seed=seed,
-        specular_flicker=specular_flicker,
-    )
+    return Scene(scatterers=tuple(scatterers), noise_std=noise_std, label=label, rng_seed=seed)
 
 
 def scene_horizon_s(scene: Scene, config: RadarConfig) -> float:
@@ -258,9 +245,7 @@ def scene_horizon_s(scene: Scene, config: RadarConfig) -> float:
     return max(horizon, 1.0 / config.burst_rate_hz)
 
 
-def _lone_metal_scene(
-    seed: int, config: RadarConfig, noise_std: float, specular_flicker: bool
-) -> Scene:
+def _lone_metal_scene(seed: int, config: RadarConfig, noise_std: float) -> Scene:
     # positive counterpart of the "empty" preset: a bare metal reflector
     rng = rng_from_seed(seed)
     r_max = max_range(config)
@@ -272,13 +257,7 @@ def _lone_metal_scene(
         channel_phases=tuple(rng.uniform(0.0, 2.0 * np.pi, config.channels)),
         is_metal=True,
     )
-    return Scene(
-        scatterers=(scatterer,),
-        noise_std=noise_std,
-        label=1,
-        rng_seed=seed,
-        specular_flicker=specular_flicker,
-    )
+    return Scene(scatterers=(scatterer,), noise_std=noise_std, label=1, rng_seed=seed)
 
 
 # For balanced generation each preset maps to a (metal-absent, metal-present)
@@ -298,7 +277,6 @@ def scene_for_label(
     seed: int,
     config: RadarConfig | None = None,
     noise_std: float = DEFAULT_NOISE_STD,
-    specular_flicker: bool = False,
 ) -> Scene:
     """The metal-present (label 1) or metal-absent (label 0) twin of a preset."""
     config = config or RadarConfig()
@@ -306,10 +284,10 @@ def scene_for_label(
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
     negative, positive = _TWINS[preset]
     if label == 0:
-        return make_scene(negative, seed, config, noise_std, specular_flicker)
+        return make_scene(negative, seed, config, noise_std)
     if positive is None:
-        return _lone_metal_scene(seed, config, noise_std, specular_flicker)
-    return make_scene(positive, seed, config, noise_std, specular_flicker)
+        return _lone_metal_scene(seed, config, noise_std)
+    return make_scene(positive, seed, config, noise_std)
 
 
 def generate_dataset(
@@ -320,7 +298,6 @@ def generate_dataset(
     out_path: str | Path = "dataset.ards",
     seq_len: int = 8,
     noise_std: float = DEFAULT_NOISE_STD,
-    specular_flicker: bool = False,
 ) -> Path:
     """Write ``frames`` labeled range-Doppler sequences to ``out_path``.
 
@@ -343,8 +320,7 @@ def generate_dataset(
             # redraw scenes whose scatterers would drift out mid-sequence
             for _ in range(1000):
                 scene = scene_for_label(
-                    preset, label, int(master.integers(0, 2**63)),
-                    config, noise_std, specular_flicker,
+                    preset, label, int(master.integers(0, 2**63)), config, noise_std
                 )
                 if scene_horizon_s(scene, config) > duration:
                     break
@@ -356,6 +332,6 @@ def generate_dataset(
             for k in range(seq_len):
                 t = k / config.burst_rate_hz
                 burst = synthesize_burst(scene, config, t, burst_id=i * seq_len + k)
-                sequence[k] = dsp.process_burst(burst, config).values
+                sequence[k] = dsp.process_burst(burst).values
             writer.append(sequence, label)
     return Path(out_path)

@@ -543,10 +543,12 @@ class BurstConsumer:
     """Connects to a producer, windows ARD frames, and emits detections.
 
     With no model attached the consumer still decodes and runs the DSP
-    chain (transport soak mode); detections then never fire.  A config whose
-    ARD frames do not fit the model leaves no usable config: bursts count as
-    skipped until a config that fits arrives.  Every config frame restarts
-    the window, so no window spans two configs.
+    chain (transport soak mode); detections then never fire.  A config frame
+    that does not decode counts as a protocol error, and like a config whose
+    ARD frames do not fit the model it leaves no usable config: bursts count
+    as skipped until a config that decodes and fits arrives.  Every config
+    frame and every burst id that does not rise restarts the window, so no
+    window spans two configs or runs backwards.
     """
 
     def __init__(
@@ -627,11 +629,15 @@ class BurstConsumer:
                 break
             self.stats.frames += 1
             if frame.kind == KIND_CONFIG:
-                self.stats.configs += 1
-                self.config = self._usable(decode_config_payload(frame.payload))
-                if self._window is not None:
-                    self._window.reset()
-                    self._window_ids.clear()
+                try:
+                    config = decode_config_payload(frame.payload)
+                except ValueError:  # wrong size, or a ConfigError
+                    self.stats.other_errors += 1
+                    config = None
+                else:
+                    self.stats.configs += 1
+                self.config = self._usable(config)
+                self._restart_window()
                 continue
             if frame.kind != KIND_BURST:
                 continue
@@ -639,6 +645,11 @@ class BurstConsumer:
             detection = self._on_burst(frame)
             if detection is not None:
                 yield detection
+
+    def _restart_window(self):
+        if self._window is not None:
+            self._window.reset()
+            self._window_ids.clear()
 
     def _on_burst(self, frame: WireFrame):
         if self.config is None:
@@ -654,6 +665,7 @@ class BurstConsumer:
             return None
         if self._last_id is not None and frame.burst_id <= self._last_id:
             self.stats.order_regressions += 1
+            self._restart_window()
         self._last_id = frame.burst_id
         self.stats.bursts += 1
 

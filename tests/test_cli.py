@@ -256,7 +256,9 @@ def test_consume_with_model_writes_detections(work, tmp_path, capsys):
     assert rows[0] == ["burst_id", "probability", "decision", "latency_us"]
     assert len(rows) == 1 + 3  # 10 bursts through an 8-frame window
     assert [r[0] for r in rows[1:]] == ["7", "8", "9"]
-    assert "detections=3" in captured.err
+    summary = captured.err.split()
+    assert "detections=3" in summary
+    assert "other_errors=0" in summary
 
 
 def test_consume_writes_the_same_csv_to_stdout(work, capsys):

@@ -532,6 +532,22 @@ def serve_once(blob: bytes) -> tuple[threading.Thread, str]:
     return thread, f"127.0.0.1:{port}"
 
 
+def config_frame(payload: bytes) -> bytes:
+    return encode_frame(WireFrame(
+        kind=stream.KIND_CONFIG, burst_id=0, timestamp_us=0, payload=payload
+    ))
+
+
+def consume_blob(blob: bytes) -> tuple[BurstConsumer, list[tuple[int, int]]]:
+    """Run a model-backed consumer over ``blob``; returns it and its windows."""
+    thread, endpoint = serve_once(blob)
+    consumer = BurstConsumer(endpoint, model=small_model())
+    detections = list(consumer.detections())
+    consumer.close()
+    thread.join(timeout=10.0)
+    return consumer, [(d.first_burst_id, d.last_burst_id) for d in detections]
+
+
 def test_config_frame_restarts_window():
     # fitting config, 9 bursts; unfitting config, 3 bursts; fitting config,
     # 8 bursts: windows never span a config frame
@@ -540,23 +556,45 @@ def test_config_frame_restarts_window():
     big_src = SceneSource("person", seed=7, config=big)
     blob, next_id = [], 0
     for config, source, count in ((SMALL, fit_src, 9), (big, big_src, 3), (SMALL, fit_src, 8)):
-        blob.append(encode_frame(WireFrame(
-            kind=stream.KIND_CONFIG, burst_id=next_id, timestamp_us=0,
-            payload=encode_config_payload(config),
-        )))
+        blob.append(config_frame(encode_config_payload(config)))
         for _ in range(count):
             blob.append(source.next_payload(next_id, next_id))
             next_id += 1
-    thread, endpoint = serve_once(b"".join(blob))
-    consumer = BurstConsumer(endpoint, model=small_model())
-    detections = list(consumer.detections())
-    consumer.close()
-    thread.join(timeout=10.0)
+    consumer, windows = consume_blob(b"".join(blob))
 
-    windows = [(d.first_burst_id, d.last_burst_id) for d in detections]
     assert windows == [(0, 7), (1, 8), (12, 19)]
     assert consumer.stats.configs == 3
     assert consumer.stats.skipped_bursts == 3
     assert consumer.stats.bursts == 17
     assert consumer.config == SMALL
 
+
+# (chirps, samples, channels, prf_hz, burst_rate_hz, center_freq_hz, bandwidth_hz)
+_FIELDS = stream._CONFIG_PAYLOAD.unpack(encode_config_payload(SMALL))
+
+
+@pytest.mark.parametrize("payload", [
+    pytest.param(b"\x00" * 5, id="short"),
+    pytest.param(stream._CONFIG_PAYLOAD.pack(*_FIELDS[:2], 0, *_FIELDS[3:]), id="no_channels"),
+    pytest.param(
+        stream._CONFIG_PAYLOAD.pack(*_FIELDS[:3], float("nan"), *_FIELDS[4:]), id="nan_prf"
+    ),
+])
+def test_undecodable_config_and_id_regression_restart_window(payload):
+    # fitting config, ids 0-8; a config frame that does not decode, ids 9-11
+    # (skipped although they fit: no usable config); fitting config, ids
+    # 12-19, then ids falling back to 5 and rising to 12
+    src = SceneSource("person", seed=7, config=SMALL)
+    good = config_frame(encode_config_payload(SMALL))
+    blob = [good, *(src.next_payload(i, i) for i in range(9)), config_frame(payload)]
+    blob += [src.next_payload(i, i) for i in range(9, 12)]
+    blob += [good, *(src.next_payload(i, i) for i in (*range(12, 20), *range(5, 13)))]
+    consumer, windows = consume_blob(b"".join(blob))
+
+    assert windows == [(0, 7), (1, 8), (12, 19), (5, 12)]
+    assert consumer.stats.other_errors == 1
+    assert consumer.stats.configs == 2
+    assert consumer.stats.skipped_bursts == 3
+    assert consumer.stats.bursts == 25
+    assert consumer.stats.order_regressions == 1
+    assert consumer.config == SMALL
