@@ -17,8 +17,9 @@ from .radar_core import ARDFrame, RawBurst
 
 def range_profile(samples: np.ndarray) -> np.ndarray:
     """Fast-time FFT: (P, N, C) samples -> complex128 (N, P, C) range profile."""
-    rp = np.fft.fft(samples, axis=1)          # (P, N, C), axis 1 -> range bins
-    return np.transpose(rp, (1, 0, 2)).astype(np.complex128, copy=False)
+    # cast first: NumPy transforms complex64 input in single precision
+    rp = np.fft.fft(samples.astype(np.complex128, copy=False), axis=1)  # axis 1 -> range bins
+    return np.transpose(rp, (1, 0, 2))
 
 
 def complex_range_doppler(rp: np.ndarray) -> np.ndarray:

@@ -67,11 +67,10 @@ class Scatterer:
 
 @dataclass(frozen=True)
 class Scene:
-    """A collection of scatterers plus noise level, class label, and noise seed."""
+    """A collection of scatterers plus noise level and noise seed."""
 
     scatterers: tuple[Scatterer, ...]
     noise_std: float = DEFAULT_NOISE_STD
-    label: int = 0
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -80,11 +79,11 @@ class Scene:
             raise SceneError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.rng_seed < 0:
             raise SceneError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        metal = any(s.is_metal for s in self.scatterers)
-        if self.label != int(metal):
-            raise SceneError(
-                f"label {self.label} inconsistent with metal presence ({metal})"
-            )
+
+    @property
+    def label(self) -> int:
+        """Class label: 1 if any scatterer is metal, else 0."""
+        return int(any(s.is_metal for s in self.scatterers))
 
 
 def synthesize_burst(
@@ -226,8 +225,7 @@ def make_scene(
     else:
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESETS}")
 
-    label = int(any(s.is_metal for s in scatterers))
-    return Scene(scatterers=tuple(scatterers), noise_std=noise_std, label=label, rng_seed=seed)
+    return Scene(scatterers=tuple(scatterers), noise_std=noise_std, rng_seed=seed)
 
 
 def scene_horizon_s(scene: Scene, config: RadarConfig) -> float:
@@ -257,7 +255,7 @@ def _lone_metal_scene(seed: int, config: RadarConfig, noise_std: float) -> Scene
         channel_phases=tuple(rng.uniform(0.0, 2.0 * np.pi, config.channels)),
         is_metal=True,
     )
-    return Scene(scatterers=(scatterer,), noise_std=noise_std, label=1, rng_seed=seed)
+    return Scene(scatterers=(scatterer,), noise_std=noise_std, rng_seed=seed)
 
 
 # For balanced generation each preset maps to a (metal-absent, metal-present)

@@ -13,11 +13,12 @@ Frame layout, all integers little-endian:
     24+n    4     crc32 (zlib) over header+payload
 
 Burst payloads carry the raw complex samples as interleaved float32 I/Q in
-(chirp, sample, channel) order.  A paced producer never queues more than one
-burst: while the socket is blocked, newly generated bursts overwrite the
-single pending slot and a drop counter increments (keep-latest, depth 1).
-A lossless producer (rate 0) sends each burst before it generates the next,
-so it drops nothing.
+(chirp, sample, channel) order.  A paced producer stamps each burst with
+the deadline it fell due at and never queues a stale one: when a blocked send
+or a late wake-up outlasts later deadlines, it generates every burst that fell
+due, sends only the newest and counts the rest as dropped (keep-latest).  A lossless producer
+(rate 0) sends each burst before it generates the next, so it drops nothing.
+Both modes run on the connection's own thread.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ class WireFrame:
     burst_id: int
     timestamp_us: int
     payload: bytes = b""
-    version: int = VERSION
 
     def __post_init__(self):
         if not 0 <= self.kind < 1 << 16:
@@ -114,7 +114,7 @@ class Detection:
 
 def encode_frame(frame: WireFrame) -> bytes:
     header = _HEADER.pack(
-        MAGIC, frame.version, frame.kind, frame.burst_id, frame.timestamp_us, len(frame.payload)
+        MAGIC, VERSION, frame.kind, frame.burst_id, frame.timestamp_us, len(frame.payload)
     )
     body = header + frame.payload
     return body + _CRC.pack(zlib.crc32(body))
@@ -122,7 +122,7 @@ def encode_frame(frame: WireFrame) -> bytes:
 
 def _checked_frame(raw: bytes) -> WireFrame:
     """``raw`` is exactly one frame with a checked header: verify its CRC and build it."""
-    _, version, kind, burst_id, timestamp_us, _ = _HEADER.unpack_from(raw)
+    _, _, kind, burst_id, timestamp_us, _ = _HEADER.unpack_from(raw)
     end = len(raw) - _CRC.size
     (crc_stored,) = _CRC.unpack_from(raw, end)
     if zlib.crc32(raw[:end]) != crc_stored:
@@ -132,7 +132,6 @@ def _checked_frame(raw: bytes) -> WireFrame:
         burst_id=burst_id,
         timestamp_us=timestamp_us,
         payload=raw[_HEADER.size : end],
-        version=version,
     )
 
 
@@ -279,29 +278,6 @@ def parse_endpoint(endpoint: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-class _LatestSlot:
-    """Depth-1 hand-off between the paced generator and the socket writer."""
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._item = None
-
-    def put_latest(self, item) -> bool:
-        """Replace any pending item; returns True if one was overwritten."""
-        with self._cond:
-            dropped = self._item is not None
-            self._item = item
-            self._cond.notify()
-            return dropped
-
-    def take(self, timeout: float):
-        with self._cond:
-            if self._item is None:
-                self._cond.wait(timeout)
-            item, self._item = self._item, None
-            return item
-
-
 @dataclass
 class ProducerStats:
     sent: int = 0
@@ -387,11 +363,16 @@ class ReplaySource:
 class BurstProducer:
     """Serves one consumer at a time; reconnections resume the id sequence.
 
-    rate_hz > 0 paces bursts on absolute deadlines from a ticker thread and
-    applies the depth-1 keep-latest drop policy when the socket cannot keep
-    up.  rate_hz == 0 generates and sends each burst on the connection's own
-    thread, as fast as the socket drains, and drops nothing (soak mode); its
-    timestamps follow the config's burst rate, not the wall clock.
+    Each connection is served on the thread that calls ``serve``.  rate_hz > 0
+    waits for absolute deadlines ``1 / rate_hz`` apart and stamps each burst
+    with its deadline in microseconds since ``serve`` started.  When a send
+    blocks, or the wait wakes late, past later deadlines, every burst that
+    fell due is generated, only the newest is sent and the others count in
+    ``stats.dropped`` (keep-latest).  Time spent generating drops nothing: a
+    source slower than the rate has every burst sent, late.  rate_hz == 0
+    sends each burst as fast as the socket drains and drops nothing (soak
+    mode); its timestamps follow the config's burst rate, not the wall clock.
+    ``stop`` ends either mode without waiting for the next deadline.
     """
 
     def __init__(
@@ -461,8 +442,9 @@ class BurstProducer:
             self._listener.close()
             self._listener = None
 
-    def _now_us(self) -> int:
-        return int((time.monotonic() - self._t0) * 1e6)
+    def _since_start_us(self, t: float) -> int:
+        """Monotonic time ``t`` as microseconds since ``serve`` started."""
+        return int((t - self._t0) * 1e6)
 
     def _stream_to(self, conn: socket.socket):
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -471,56 +453,39 @@ class BurstProducer:
         config_frame = WireFrame(
             kind=KIND_CONFIG,
             burst_id=self._next_id,
-            timestamp_us=self._now_us(),
+            timestamp_us=self._since_start_us(time.monotonic()),
             payload=encode_config_payload(self.source.config),
         )
         conn.sendall(encode_frame(config_frame))
 
-        if not self.rate_hz:
-            while not self._stop.is_set() and self._quota_left():
-                stamp = int(self._next_id / self.source.config.burst_rate_hz * 1e6)
-                conn.sendall(self._next_burst(stamp))
-                self.stats.sent += 1
-            return
-
-        slot = _LatestSlot()
-        done = threading.Event()
-        ticker = threading.Thread(
-            target=self._generate, args=(slot, done), name="mmsentry-ticker", daemon=True
-        )
-        ticker.start()
-        try:
-            while True:
-                # read done before the take, so a burst put just before it is set is still sent
-                finished = done.is_set()
-                data = slot.take(timeout=0.1)
-                if data is None:
-                    if finished:
-                        break
-                    continue
-                conn.sendall(data)
-                self.stats.sent += 1
-        finally:
-            done.set()
-            ticker.join()
+        # lossless mode's deadline is always past, so the wait only reads the stop flag
+        period = 1.0 / self.rate_hz if self.rate_hz else 0.0
+        deadline = time.monotonic() + period
+        send_began = 0.0
+        while self._quota_left() and not self._stop.wait(deadline - time.monotonic()):
+            if not period:
+                data = self._next_burst(
+                    int(self._next_id / self.source.config.burst_rate_hz * 1e6)
+                )
+            else:
+                now = time.monotonic()
+                data = self._next_burst(self._since_start_us(deadline))
+                deadline += period
+                # bursts that fell due since the last send began (it blocked, or the wait
+                # woke late): the newest replaces the rest.  Deadlines missed while
+                # generating are sent late instead, so a slow source still gets through.
+                while send_began < deadline <= now and self._quota_left():
+                    data = self._next_burst(self._since_start_us(deadline))
+                    deadline += period
+                    self.stats.dropped += 1
+            send_began = time.monotonic()
+            conn.sendall(data)
+            self.stats.sent += 1
 
     def _next_burst(self, timestamp_us: int) -> bytes:
         data = self.source.next_payload(self._next_id, timestamp_us)
         self._next_id += 1
         return data
-
-    def _generate(self, slot: _LatestSlot, done: threading.Event):
-        """Paced mode's ticker: one burst per period into the keep-latest slot."""
-        period = 1.0 / self.rate_hz
-        next_deadline = time.monotonic() + period
-        while not done.is_set() and not self._stop.is_set() and self._quota_left():
-            now = time.monotonic()
-            if now < next_deadline:
-                time.sleep(next_deadline - now)
-            next_deadline += period
-            if slot.put_latest(self._next_burst(self._now_us())):
-                self.stats.dropped += 1
-        done.set()
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +520,6 @@ class BurstConsumer:
         self,
         endpoint: str,
         model=None,
-        config: RadarConfig | None = None,
         rcvbuf: int | None = None,
     ):
         self.endpoint = endpoint
@@ -563,6 +527,7 @@ class BurstConsumer:
         self.rcvbuf = rcvbuf
         self.stats = ConsumerStats()
         self._sock: socket.socket | None = None
+        self.config: RadarConfig | None = None
         self._window = None
         self._window_ids: deque[int] = deque()
         self._last_id: int | None = None
@@ -571,7 +536,6 @@ class BurstConsumer:
 
             self._window = SlidingClassifier(model)
             self._window_ids = deque(maxlen=model.config.seq_len)
-        self.config = self._usable(config)
 
     def _usable(self, config: RadarConfig | None) -> RadarConfig | None:
         """``config`` if the model can classify its frames, else None."""

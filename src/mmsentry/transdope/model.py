@@ -126,6 +126,26 @@ def param_spec(config: TransDopeConfig) -> list[tuple[str, tuple[int, ...], int 
     return spec
 
 
+def he_uniform_params(
+    spec: list[tuple[str, tuple[int, ...], int | None]], rng: np.random.Generator
+) -> dict[str, np.ndarray]:
+    """Tensors for a ``param_spec``-shaped list, drawn from ``rng`` in its order.
+
+    Weights are He-style fan-in uniform on +-sqrt(6 / fan_in); norm gains
+    (``*_g``) start at one and every other constant tensor at zero.
+    """
+    params: dict[str, np.ndarray] = {}
+    for name, shape, fan_in in spec:
+        if fan_in is not None:
+            bound = np.sqrt(6.0 / fan_in)
+            params[name] = rng.uniform(-bound, bound, size=shape)
+        elif name.endswith("_g"):
+            params[name] = np.ones(shape)
+        else:
+            params[name] = np.zeros(shape)
+    return params
+
+
 def positional_table(seq_len: int, dim: int) -> np.ndarray:
     """Fixed sinusoidal encoding: sin on even columns, cos on odd columns."""
     positions = np.arange(seq_len, dtype=np.float64)[:, None]
@@ -156,16 +176,7 @@ class TransDopeModel:
     def initialize(cls, config: TransDopeConfig, seed: int = 0) -> "TransDopeModel":
         """He-style fan-in uniform init for weights, constants elsewhere (PCG64)."""
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        params: dict[str, np.ndarray] = {}
-        for name, shape, fan_in in param_spec(config):
-            if fan_in is not None:
-                bound = np.sqrt(6.0 / fan_in)
-                params[name] = rng.uniform(-bound, bound, size=shape)
-            elif name.endswith("_g"):
-                params[name] = np.ones(shape)
-            else:
-                params[name] = np.zeros(shape)
-        return cls(config=config, params=params)
+        return cls(config=config, params=he_uniform_params(param_spec(config), rng))
 
 
 def param_count(model: TransDopeModel) -> int:

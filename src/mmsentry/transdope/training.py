@@ -27,6 +27,8 @@ from .model import (
     _backward_batch,
     _embed_backward,
     _forward_batch,
+    he_uniform_params,
+    param_spec,
 )
 
 DECAY_EVERY = 10  # epochs per learning-rate step
@@ -163,17 +165,9 @@ def pretrain_time_convs(dataset, cfg: TrainConfig, config: TransDopeConfig) -> P
         raise ValueError(f"frames shaped {x.shape[1:]} do not fit config {config.frame_shape}")
 
     rng = _rng(cfg.seed)
-    k, c, f = config.conv_kernel, config.channels, config.conv_filters
     feat = config.feature_count
-    init = lambda shape, fan: rng.uniform(-np.sqrt(6.0 / fan), np.sqrt(6.0 / fan), shape)
-    params = {
-        "conv1_w": init((k, k, c, f), k * k * c),
-        "conv1_b": np.zeros(f),
-        "conv2_w": init((k, k, f, f), k * k * f),
-        "conv2_b": np.zeros(f),
-        "embed_w": init((feat, 1), feat),
-        "embed_b": np.zeros(1),
-    }
+    spec = [*param_spec(config)[:4], ("embed_w", (feat, 1), feat), ("embed_b", (1,), None)]
+    params = he_uniform_params(spec, rng)
     model = TransDopeModel(config=config, params=params)
 
     def forward(xb):

@@ -281,7 +281,7 @@ def test_criterion_4_protocol_soundness(tmp_path):
     )
 
     # paced producer + 1 s consumer stall; small socket buffers so the
-    # depth-1 drop-oldest slot, not the kernel, absorbs the backlog
+    # producer's keep-latest policy, not the kernel, absorbs the backlog
     producer2, thread2, endpoint2 = _producer_thread(
         stream.ReplaySource(capture, CFG), rate_hz=25.0, max_bursts=90, sndbuf=8192
     )

@@ -32,13 +32,13 @@ def lone_scatterer(b=10, d=0, amplitude=1.0, channels=3, metal=False):
 
 
 def test_empty_noiseless_scene_is_silent():
-    scene = Scene(scatterers=(), noise_std=0.0, label=0, rng_seed=1)
+    scene = Scene(scatterers=(), noise_std=0.0, rng_seed=1)
     burst = synthesize_burst(scene, CFG, t=0.0)
     assert np.all(burst.data == 0.0)
 
 
 def test_single_scatterer_closed_form():
-    scene = Scene(scatterers=(lone_scatterer(b=10, d=0),), noise_std=0.0, label=0, rng_seed=0)
+    scene = Scene(scatterers=(lone_scatterer(b=10, d=0),), noise_std=0.0, rng_seed=0)
     burst = synthesize_burst(scene, CFG, t=0.0)
     n = CFG.samples_per_chirp
     expected_chirp = np.exp(2j * np.pi * 10 * np.arange(n) / n)
@@ -50,9 +50,9 @@ def test_single_scatterer_closed_form():
 def test_superposition_is_exact():
     s1 = lone_scatterer(b=5, d=2, amplitude=0.7)
     s2 = lone_scatterer(b=40, d=-3, amplitude=1.3)
-    alone_1 = synthesize_burst(Scene((s1,), 0.0, 0, 9), CFG, 0.0)
-    alone_2 = synthesize_burst(Scene((s2,), 0.0, 0, 9), CFG, 0.0)
-    both = synthesize_burst(Scene((s1, s2), 0.0, 0, 9), CFG, 0.0)
+    alone_1 = synthesize_burst(Scene((s1,), 0.0, 9), CFG, 0.0)
+    alone_2 = synthesize_burst(Scene((s2,), 0.0, 9), CFG, 0.0)
+    both = synthesize_burst(Scene((s1, s2), 0.0, 9), CFG, 0.0)
     assert np.allclose(both.data, alone_1.data + alone_2.data, atol=1e-12)
 
 
@@ -69,7 +69,7 @@ def test_integer_bin_scatterer_ard_peak():
     # noiseless integer-bin target: unique argmax at (b, d + P/2), peak A*N*P
     n, p, _ = CFG.ard_shape
     b, d, amp = 23, 4, 1.7
-    scene = Scene((lone_scatterer(b=b, d=d, amplitude=amp),), 0.0, 0, 0)
+    scene = Scene((lone_scatterer(b=b, d=d, amplitude=amp),), 0.0, 0)
     frame = dsp.process_burst(synthesize_burst(scene, CFG, 0.0))
     for ch in range(CFG.channels):
         idx = np.unravel_index(np.argmax(frame.values[:, :, ch]), (n, p))
@@ -84,7 +84,7 @@ def test_scatterer_leaving_span_names_the_culprit():
         amplitude=1.0,
         channel_phases=(0.0, 0.0, 0.0),
     )
-    scene = Scene((lone_scatterer(), fast), 0.0, 0, 0)
+    scene = Scene((lone_scatterer(), fast), 0.0, 0)
     with pytest.raises(SceneError, match="scatterer 1"):
         synthesize_burst(scene, CFG, t=1.0)
 
@@ -152,13 +152,6 @@ def test_scene_for_label_twins(preset):
         scene = scene_for_label(preset, label, seed=3, config=CFG)
         assert scene.label == label
         assert (metal_count(scene) > 0) == bool(label)
-
-
-def test_label_invariant_enforced():
-    with pytest.raises(SceneError):
-        Scene((lone_scatterer(metal=True),), 0.0, label=0, rng_seed=0)
-    with pytest.raises(SceneError):
-        Scene((lone_scatterer(),), 0.0, label=1, rng_seed=0)
 
 
 def test_scene_horizon_allows_synthesis_until_expiry():

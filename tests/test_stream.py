@@ -2,8 +2,10 @@
 
 import io
 import socket
+import struct
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -55,6 +57,13 @@ def reader_over(blob: bytes) -> FrameReader:
     return FrameReader(io.BytesIO(blob).read)
 
 
+def with_version(raw: bytes, version: int) -> bytes:
+    """The encoded frame ``raw`` relabelled as wire ``version``, CRC recomputed."""
+    body = bytearray(raw[:-4])
+    struct.pack_into("<H", body, 4, version)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
 # ---------------------------------------------------------------------------
 # Frame codec
 
@@ -104,11 +113,9 @@ def test_decode_error_taxonomy():
     with pytest.raises(BadCrcError):
         decode_frame(bytes(flipped))
 
-    versioned = encode_frame(
-        WireFrame(kind=1, burst_id=1, timestamp_us=2, payload=b"xyz", version=2)
-    )
+    assert with_version(good, stream.VERSION) == good
     with pytest.raises(UnsupportedVersionError):
-        decode_frame(versioned)
+        decode_frame(with_version(good, 2))
 
 
 def decode_outcome(decode, raw: bytes):
@@ -196,8 +203,10 @@ def test_reader_skips_corrupt_frame_and_continues():
 
 def test_reader_steps_over_future_versions():
     f1, f3 = frames_fixture(2)
-    future = WireFrame(kind=1, burst_id=5, timestamp_us=6, payload=b"new", version=3)
-    reader = reader_over(encode_frame(f1) + encode_frame(future) + encode_frame(f3))
+    future = with_version(
+        encode_frame(WireFrame(kind=1, burst_id=5, timestamp_us=6, payload=b"new")), 3
+    )
+    reader = reader_over(encode_frame(f1) + future + encode_frame(f3))
     assert reader.read_frame() == f1
     with pytest.raises(UnsupportedVersionError):
         reader.read_frame()
@@ -276,18 +285,6 @@ def test_parse_endpoint():
     for bad in ("nocolon", "host:", "host:abc", ""):
         with pytest.raises(ValueError):
             parse_endpoint(bad)
-
-
-# ---------------------------------------------------------------------------
-# Depth-1 hand-off slot
-
-
-def test_latest_slot_keeps_newest_and_counts_overwrites():
-    slot = stream._LatestSlot()
-    assert slot.put_latest(b"a") is False
-    assert slot.put_latest(b"b") is True  # "a" was never taken
-    assert slot.take(timeout=0.1) == b"b"
-    assert slot.take(timeout=0.01) is None
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +418,107 @@ def test_sliding_window_detection_count():
     assert ids == list(range(7, 250))
 
 
+def test_paced_bursts_carry_their_deadlines():
+    # stamps come from the schedule, 10 000 us apart at 100 Hz, not from the
+    # moment each burst was generated or sent
+    src = SceneSource("person", seed=5, config=SMALL)
+    producer, thread, endpoint = start_producer(src, rate_hz=100.0, max_bursts=20)
+    with socket.create_connection(parse_endpoint(endpoint)) as sock:
+        frames = list(iter(FrameReader(sock.recv).read_frame, None))
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+
+    stamps = [(f.burst_id, f.timestamp_us) for f in frames if f.kind == stream.KIND_BURST]
+    assert len(stamps) + producer.stats.dropped == 20
+    assert stamps[-1][0] == 19
+    for (id0, t0), (id1, t1) in zip(stamps, stamps[1:]):
+        assert abs(t1 - t0 - 10_000 * (id1 - id0)) <= 1, stamps
+
+
+class SlowSource:
+    """A scene source that takes two and a half 100 Hz periods per burst."""
+
+    def __init__(self):
+        self._scene = SceneSource("person", seed=5, config=SMALL)
+        self.config = SMALL
+
+    def next_payload(self, burst_id: int, timestamp_us: int) -> bytes:
+        time.sleep(0.025)
+        return self._scene.next_payload(burst_id, timestamp_us)
+
+
+def test_source_slower_than_the_rate_is_sent_late_not_dropped():
+    # time spent generating drops nothing: every burst is sent, late, and
+    # still stamped with its deadline
+    producer, thread, endpoint = start_producer(SlowSource(), rate_hz=100.0, max_bursts=8)
+    with socket.create_connection(parse_endpoint(endpoint)) as sock:
+        frames = list(iter(FrameReader(sock.recv).read_frame, None))
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+
+    stamps = [(f.burst_id, f.timestamp_us) for f in frames if f.kind == stream.KIND_BURST]
+    assert [i for i, _ in stamps] == list(range(8))
+    assert producer.stats.dropped == 0
+    assert all(abs(t1 - t0 - 10_000) <= 1 for (_, t0), (_, t1) in zip(stamps, stamps[1:]))
+
+
+class LateWake(threading.Event):
+    """A stop event whose third wait wakes 0.1 s late, as in a paused process."""
+
+    def __init__(self):
+        super().__init__()
+        self.waits = 0
+
+    def wait(self, timeout=None):
+        self.waits += 1
+        if self.waits == 3:
+            time.sleep(max(timeout, 0.0) + 0.1)
+            return self.is_set()
+        return super().wait(timeout)
+
+
+def test_paced_producer_that_wakes_late_sends_only_the_newest():
+    # the ten bursts that fall due during the late wake-up are stale by the
+    # time the producer runs again: the newest replaces the others
+    producer = BurstProducer(SceneSource("person", seed=5, config=SMALL), rate_hz=100.0,
+                             max_bursts=20)
+    producer._stop = LateWake()
+    producer.bind()
+    thread = threading.Thread(target=producer.serve, daemon=True)
+    thread.start()
+    consumer = BurstConsumer(f"127.0.0.1:{producer.bound_port}")
+    list(consumer.detections())
+    consumer.close()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+
+    assert producer.stats.dropped >= 9
+    assert consumer.stats.bursts + producer.stats.dropped == 20
+    assert consumer.stats.order_regressions == 0
+    assert consumer._last_id == 19
+
+
+def test_stop_ends_a_paced_serve_before_the_next_deadline():
+    src = SceneSource("person", seed=5, config=SMALL)
+    producer, thread, endpoint = start_producer(src, rate_hz=0.25, max_bursts=None)
+    with socket.create_connection(parse_endpoint(endpoint)) as sock:
+        reader = FrameReader(sock.recv)
+        assert reader.read_frame().kind == stream.KIND_CONFIG  # the connection is served
+        started = time.monotonic()
+        producer.stop()
+        thread.join(timeout=10.0)
+        elapsed = time.monotonic() - started
+        assert elapsed < 0.5
+        assert reader.read_frame() is None  # closed without a burst
+
+    assert not thread.is_alive()
+    assert producer.stats.sent == 0
+
+
 def test_paced_stream_drops_only_what_a_stall_backs_up(tmp_path):
     # default-size bursts (24 KiB) fill 8 KiB socket buffers at once, so the
-    # keep-latest slot, not the kernel, absorbs a stalled reader's backlog
+    # producer's keep-latest policy, not the kernel, absorbs a stalled
+    # reader's backlog
     capture = tmp_path / "capture.mmse"
     make_capture(capture, RadarConfig(), count=3)
     producer, thread, endpoint = start_producer(
