@@ -191,7 +191,10 @@ def cmd_produce(args) -> int:
     )
     producer.serve()
     s = producer.stats
-    print(f"produced {s.sent} bursts ({s.dropped} dropped, {s.reconnects} reconnects)")
+    print(
+        f"produced {s.sent} bursts ({s.dropped} dropped, {s.late} late, "
+        f"worst lag {s.max_late_us} us, {s.reconnects} reconnects)"
+    )
     return 0
 
 

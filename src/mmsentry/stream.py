@@ -283,6 +283,8 @@ class ProducerStats:
     sent: int = 0
     dropped: int = 0
     reconnects: int = 0
+    late: int = 0  # paced bursts whose send began a period or more after their deadline
+    max_late_us: int = 0  # the worst lag of a paced burst's send behind its deadline
 
 
 def _burst_frame(burst_id: int, timestamp_us: int, payload: bytes) -> bytes:
@@ -372,7 +374,9 @@ class BurstProducer:
     source slower than the rate has every burst sent, late.  rate_hz == 0
     sends each burst as fast as the socket drains and drops nothing (soak
     mode); its timestamps follow the config's burst rate, not the wall clock.
-    ``stop`` ends either mode without waiting for the next deadline.
+    ``stop`` ends either mode without waiting for the next deadline, and
+    shuts the live connection down so a ``sendall`` blocked on a consumer
+    that stopped reading fails at once.
     """
 
     def __init__(
@@ -392,6 +396,7 @@ class BurstProducer:
         self.stats = ProducerStats()
         self._host, self._port = parse_endpoint(endpoint)
         self._listener: socket.socket | None = None
+        self._conn: socket.socket | None = None
         self._stop = threading.Event()
         self._next_id = 0
         self._t0 = None
@@ -414,6 +419,12 @@ class BurstProducer:
 
     def stop(self):
         self._stop.set()
+        conn = self._conn
+        if conn is not None:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by serve
 
     def _quota_left(self) -> bool:
         return self.max_bursts is None or self._next_id < self.max_bursts
@@ -432,11 +443,13 @@ class BurstProducer:
                 if not first_client:
                     self.stats.reconnects += 1
                 first_client = False
+                self._conn = conn
                 try:
                     self._stream_to(conn)
                 except OSError:
-                    continue  # consumer vanished; back to accept
+                    continue  # consumer vanished, or stop() shut the connection; back to accept
                 finally:
+                    self._conn = None
                     conn.close()
         finally:
             self._listener.close()
@@ -479,6 +492,11 @@ class BurstProducer:
                     deadline += period
                     self.stats.dropped += 1
             send_began = time.monotonic()
+            if period:
+                lag = send_began - (deadline - period)  # behind the deadline it is stamped with
+                if lag >= period:
+                    self.stats.late += 1
+                self.stats.max_late_us = max(self.stats.max_late_us, int(lag * 1e6))
             conn.sendall(data)
             self.stats.sent += 1
 

@@ -189,7 +189,7 @@ def attention_forward(x: np.ndarray, p: dict, prefix: str, heads: int):
     q = _split_heads(q_m, heads)
     k = _split_heads(k_m, heads)
     v = _split_heads(v_m, heads)
-    scale = 1.0 / np.sqrt(q.shape[-1])
+    scale = float(1.0 / np.sqrt(q.shape[-1]))  # a Python float keeps float32 float32
     logits = (q @ k.swapaxes(-1, -2)) * scale
     attn = softmax(logits)
     ctx = _merge_heads(attn @ v)
@@ -262,7 +262,7 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def bce_with_logits(z: np.ndarray, y: np.ndarray):
-    """Mean binary cross-entropy; returns (loss, dloss/dz)."""
+    """Mean binary cross-entropy; returns (loss, dloss/dz), dz in ``z``'s dtype."""
     losses = np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
     dz = (sigmoid(z) - y) / z.shape[0]
-    return float(losses.mean()), dz
+    return float(losses.mean()), dz.astype(z.dtype, copy=False)

@@ -241,7 +241,7 @@ def embed_frame(model: TransDopeModel, frames: np.ndarray, caches: list | None =
     cfg = model.config
     p = model.params
     stage = [] if caches is not None else None
-    x = np.asarray(frames, dtype=np.float64) * cfg.input_scale
+    x = np.asarray(frames, dtype=p["conv1_w"].dtype) * cfg.input_scale
     for conv in ("conv1", "conv2"):
         x = _keep(layers.conv2d_forward(x, p[conv + "_w"], p[conv + "_b"]), stage)
         x = _keep(layers.maxpool2_forward(x), stage)
@@ -277,7 +277,7 @@ def classify_tokens(model: TransDopeModel, tokens: np.ndarray, caches: list | No
     """
     cfg = model.config
     p = model.params
-    x = tokens + model.pos_table
+    x = tokens + model.pos_table.astype(tokens.dtype, copy=False)
     enc_caches = []
     for i in range(cfg.encoder_layers):
         x, cache = _encoder_forward(x, p, f"l{i}_", cfg.heads, caches is not None)

@@ -7,6 +7,9 @@ one-wide embedding, and :func:`train` fine-tunes the full sequence model after
 one SGD loop, :func:`_sgd`, each with its own forward/backward pair taken
 from the model module.
 
+Training computes in its inputs' floating dtype, so float32 ``.ards`` data
+train in float32 (see :func:`_sgd`); inference computes in the parameters'.
+
 The learning rate follows an inverse step decay: lr(e) = lr0 / (1 + e // 10).
 Plain SGD, no momentum, so the finite-difference gradient oracle applies to
 exactly the quantities being descended.
@@ -14,7 +17,7 @@ exactly the quantities being descended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,7 +89,7 @@ def _as_xy(dataset, expect_seq: bool) -> tuple[np.ndarray, np.ndarray]:
             x, y = dataset.frames()
     else:
         x, y = dataset
-    x = np.asarray(x)  # its own dtype; the model converts each batch exactly
+    x = np.asarray(x)  # its own dtype: training computes in it, evaluate in the params'
     y = np.asarray(y, dtype=np.float64)
     want = 5 if expect_seq else 4
     if x.ndim != want:
@@ -104,12 +107,16 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
-def _sgd(params: dict, x, y, cfg: TrainConfig, rng, forward, backward) -> list[EpochStats]:
-    """Descend ``params`` in place; the one epoch loop of both training stages.
+def _sgd(model, x, y, cfg: TrainConfig, rng, forward, backward) -> list[EpochStats]:
+    """Descend ``model.params`` in place; the one epoch loop of both training stages.
 
-    ``forward(xb)`` returns (logits, caches) and ``backward(dlogits, caches)``
-    returns the gradients by parameter name.
+    A working model holds the parameters cast once to the data's floating
+    dtype; it is descended and written back into ``model.params`` on return.
+    For float64 data it shares the parameters' arrays.  ``forward(work, xb)``
+    returns (logits, caches), ``backward(work, dlogits, caches)`` the gradients.
     """
+    dtype = np.result_type(x.dtype, np.float32)
+    work = replace(model, params={k: p.astype(dtype, copy=False) for k, p in model.params.items()})
     history: list[EpochStats] = []
     count = x.shape[0]
     for epoch in range(cfg.epochs):
@@ -122,7 +129,7 @@ def _sgd(params: dict, x, y, cfg: TrainConfig, rng, forward, backward) -> list[E
             idx = order[start : start + cfg.batch_size]
             yb = y[idx]
             try:
-                logits, caches = forward(x[idx])
+                logits, caches = forward(work, x[idx])
             except NumericsError as exc:
                 raise TrainingDivergedError(f"{exc} at {where}") from exc
             loss, dlogits = layers.bce_with_logits(logits, yb)
@@ -130,11 +137,13 @@ def _sgd(params: dict, x, y, cfg: TrainConfig, rng, forward, backward) -> list[E
                 raise TrainingDivergedError(
                     f"loss became {loss} at {where}; lower lr0 or inspect the input scaling"
                 )
-            for name, g in backward(dlogits, caches).items():
-                params[name] -= lr * g
+            for name, g in backward(work, dlogits, caches).items():
+                work.params[name] -= lr * g
             loss_sum += loss * len(idx)
             correct += int(np.sum((logits >= 0.0) == (yb == 1.0)))
         history.append(EpochStats(epoch, lr, loss_sum / count, correct / count))
+    for name, p in model.params.items():
+        p[...] = work.params[name]
     return history
 
 
@@ -145,9 +154,9 @@ def train(
     x, y = _as_xy(dataset, expect_seq=True)
     tdmodel._check_sequences(x, model.config)
     history = _sgd(
-        model.params, x, y, cfg, _rng(cfg.seed),
-        lambda xb: _forward_batch(xb, model, with_cache=True),
-        lambda dlogits, caches: _backward_batch(dlogits, caches, model),
+        model, x, y, cfg, _rng(cfg.seed),
+        lambda work, xb: _forward_batch(xb, work, with_cache=True),
+        lambda work, dlogits, caches: _backward_batch(dlogits, caches, work),
     )
     return model, history
 
@@ -167,21 +176,20 @@ def pretrain_time_convs(dataset, cfg: TrainConfig, config: TransDopeConfig) -> P
     rng = _rng(cfg.seed)
     feat = config.feature_count
     spec = [*param_spec(config)[:4], ("embed_w", (feat, 1), feat), ("embed_b", (1,), None)]
-    params = he_uniform_params(spec, rng)
-    model = TransDopeModel(config=config, params=params)
+    model = TransDopeModel(config=config, params=he_uniform_params(spec, rng))
 
-    def forward(xb):
+    def forward(work, xb):
         caches = []
         # Looked up on the module, so perfbench/tracing.py's wrapper counts it.
-        return tdmodel.embed_frame(model, xb, caches)[:, 0], caches
+        return tdmodel.embed_frame(work, xb, caches)[:, 0], caches
 
-    def backward(dlogits, caches):
+    def backward(work, dlogits, caches):
         grads: dict[str, np.ndarray] = {}
-        _embed_backward(dlogits[:, None], caches, model, grads)
+        _embed_backward(dlogits[:, None], caches, work, grads)
         return grads
 
-    history = _sgd(params, x, y, cfg, rng, forward, backward)
-    weights = {name: params[name].copy() for name in CONV_PARAM_NAMES}
+    history = _sgd(model, x, y, cfg, rng, forward, backward)
+    weights = {name: model.params[name].copy() for name in CONV_PARAM_NAMES}
     return PretrainResult(weights=weights, history=history)
 
 

@@ -278,6 +278,7 @@ def test_criterion_4_protocol_soundness(tmp_path):
         and soak.crc_errors == 0
         and soak.other_errors == 0
         and soak.order_regressions == 0
+        and producer.stats.late == 0  # lossless: no deadline to miss
     )
 
     # paced producer + 1 s consumer stall; small socket buffers so the
@@ -306,7 +307,8 @@ def test_criterion_4_protocol_soundness(tmp_path):
         4,
         ok,
         f"1000-frame codec ok={codec_ok}; soak {soak.bursts} bursts, "
-        f"crc errors {soak.crc_errors}, order regressions {soak.order_regressions}; "
+        f"crc errors {soak.crc_errors}, order regressions {soak.order_regressions}, "
+        f"late {producer.stats.late}; "
         f"stall drops {drops} (want 25 +/- 3); {elapsed:.0f} s",
     )
     assert ok, line

@@ -233,7 +233,7 @@ def test_produce_consume_round_trip(work, capsys):
     assert rc == 0
     assert result["rc"] == 0
     assert "bursts=12" in captured.err
-    assert "produced 12 bursts" in captured.out
+    assert "produced 12 bursts (0 dropped, 0 late" in captured.out
 
 
 def test_consume_with_model_writes_detections(work, tmp_path, capsys):

@@ -460,6 +460,10 @@ def test_source_slower_than_the_rate_is_sent_late_not_dropped():
     assert [i for i, _ in stamps] == list(range(8))
     assert producer.stats.dropped == 0
     assert all(abs(t1 - t0 - 10_000) <= 1 for (_, t0), (_, t1) in zip(stamps, stamps[1:]))
+    # burst k leaves about 25 + 15 k ms after its deadline: every one misses
+    # its slot, and the lag grows past 100 ms by the eighth
+    assert producer.stats.late >= 7
+    assert producer.stats.max_late_us >= 100_000
 
 
 class LateWake(threading.Event):
@@ -513,6 +517,26 @@ def test_stop_ends_a_paced_serve_before_the_next_deadline():
 
     assert not thread.is_alive()
     assert producer.stats.sent == 0
+
+
+@pytest.mark.parametrize("rate_hz", [0.0, 25.0])
+def test_stop_ends_a_send_blocked_on_a_consumer_that_never_reads(rate_hz):
+    # a default-size burst (24 KiB) overfills 8 KiB socket buffers, so the
+    # producer's sendall blocks until stop() shuts the connection down
+    src = SceneSource("person", seed=5, config=RadarConfig())
+    producer, thread, endpoint = start_producer(src, rate_hz=rate_hz, max_bursts=None, sndbuf=8192)
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
+        sock.connect(parse_endpoint(endpoint))
+        time.sleep(0.5)
+        sent = producer.stats.sent
+        time.sleep(0.2)
+        assert thread.is_alive()
+        assert producer.stats.sent == sent  # blocked, not sending
+        started = time.monotonic()
+        producer.stop()
+        thread.join(timeout=1.0)
+        assert not thread.is_alive(), f"serve alive {time.monotonic() - started:.1f} s after stop()"
 
 
 def test_paced_stream_drops_only_what_a_stall_backs_up(tmp_path):
