@@ -19,13 +19,14 @@ def range_profile(samples: np.ndarray) -> np.ndarray:
     """Fast-time FFT: (P, N, C) samples -> complex128 (N, P, C) range profile."""
     # cast first: NumPy transforms complex64 input in single precision
     rp = np.fft.fft(samples.astype(np.complex128, copy=False), axis=1)  # axis 1 -> range bins
-    return np.transpose(rp, (1, 0, 2))
+    return rp.transpose(1, 0, 2)
 
 
 def complex_range_doppler(rp: np.ndarray) -> np.ndarray:
     """Slow-time FFT of an (N, P, C) range profile, center-shifted on the Doppler axis."""
     crd = np.fft.fft(rp, axis=1)
-    return np.fft.fftshift(crd, axes=1)       # zero velocity -> bin P/2
+    cut = crd.shape[1] - crd.shape[1] // 2  # zero velocity -> bin P/2, as fftshift
+    return np.concatenate((crd[:, cut:], crd[:, :cut]), axis=1)
 
 
 def ard(crd: np.ndarray) -> np.ndarray:

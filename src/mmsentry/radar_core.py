@@ -156,7 +156,7 @@ class RawBurst:
             raise ValueError(f"burst data must be 3-D, got shape {data.shape}")
         if not np.iscomplexobj(data):
             data = data.astype(np.complex128)
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise ValueError(f"burst {self.burst_id} contains non-finite samples")
         object.__setattr__(self, "data", _freeze(data))
 
@@ -181,9 +181,9 @@ class ARDFrame:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.ndim != 3:
             raise ValueError(f"ARD values must be 3-D, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError(f"ARD frame {self.burst_id} contains non-finite values")
-        if np.any(values < 0.0):
+        if (values < 0.0).any():
             raise ValueError(f"ARD frame {self.burst_id} contains negative values")
         object.__setattr__(self, "values", _freeze(values))
 

@@ -23,6 +23,7 @@ Both modes run on the connection's own thread.
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 import threading
@@ -231,7 +232,7 @@ def decode_burst_payload(
     payload: bytes, config: RadarConfig, burst_id: int, timestamp_us: int
 ) -> RawBurst:
     shape = config.burst_shape
-    expected = int(np.prod(shape)) * 8
+    expected = math.prod(shape) * 8
     if len(payload) != expected:
         raise ValueError(f"burst payload is {len(payload)} bytes, expected {expected}")
     data = np.frombuffer(payload, dtype="<c8").reshape(shape).astype(np.complex128)
@@ -520,6 +521,8 @@ class ConsumerStats:
     other_errors: int = 0
     skipped_bursts: int = 0
     order_regressions: int = 0
+    gap_bursts: int = 0  # ids skipped over by a burst id that jumped ahead
+    unknown_kinds: int = 0  # CRC-valid frames neither burst nor config
 
 
 class BurstConsumer:
@@ -530,8 +533,11 @@ class BurstConsumer:
     that does not decode counts as a protocol error, and like a config whose
     ARD frames do not fit the model it leaves no usable config: bursts count
     as skipped until a config that decodes and fits arrives.  Every config
-    frame and every burst id that does not rise restarts the window, so no
-    window spans two configs or runs backwards.
+    frame and every burst id that does not follow the one before restarts
+    the window, so a window holds consecutive bursts of one config.  A burst
+    id that does not rise counts in ``order_regressions``, and one that
+    jumps ahead counts the ids it skips in ``gap_bursts``; skipped bursts
+    take part in both, since their ids were received.
     """
 
     def __init__(
@@ -622,6 +628,7 @@ class BurstConsumer:
                 self._restart_window()
                 continue
             if frame.kind != KIND_BURST:
+                self.stats.unknown_kinds += 1
                 continue
             burst_frames += 1
             detection = self._on_burst(frame)
@@ -634,6 +641,13 @@ class BurstConsumer:
             self._window_ids.clear()
 
     def _on_burst(self, frame: WireFrame):
+        last, self._last_id = self._last_id, frame.burst_id
+        if last is not None and frame.burst_id != last + 1:
+            if frame.burst_id <= last:
+                self.stats.order_regressions += 1
+            else:
+                self.stats.gap_bursts += frame.burst_id - last - 1
+            self._restart_window()
         if self.config is None:
             self.stats.skipped_bursts += 1
             return None
@@ -645,10 +659,6 @@ class BurstConsumer:
         except ValueError:
             self.stats.skipped_bursts += 1
             return None
-        if self._last_id is not None and frame.burst_id <= self._last_id:
-            self.stats.order_regressions += 1
-            self._restart_window()
-        self._last_id = frame.burst_id
         self.stats.bursts += 1
 
         ard = dsp.process_burst(burst)

@@ -8,6 +8,8 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -19,12 +21,14 @@ def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """(B, H+kh-1, W+kw-1, C) padded input -> (B, H, W, kh*kw*C) columns.
 
     Column order is (dy, dx, channel), matching ``w.reshape(kh*kw*C, Cout)``.
-    The window view costs nothing; the reshape makes the one copy.
+    The (B, H, W, kh, kw, C) window view costs nothing and never leaves this
+    function; the reshape makes the one copy.
     """
     b, hp, wp, c = xp.shape
     h, w = hp - kh + 1, wp - kw + 1
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, h, w, kh * kw * c)
+    sb, sh, sw, sc = xp.strides
+    windows = np.lib.stride_tricks.as_strided(xp, (b, h, w, kh, kw, c), (sb, sh, sw, sh, sw, sc))
+    return windows.reshape(b, h, w, kh * kw * c)
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -113,7 +117,9 @@ def maxpool2_backward(dy: np.ndarray, cache) -> np.ndarray:
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """x: (..., Din), w: (Din, Dout), b: (Dout,)."""
-    return x @ w + b, (x, w)
+    y = x @ w
+    y += b
+    return y, (x, w)
 
 
 def linear_backward(dy: np.ndarray, cache):
@@ -132,12 +138,16 @@ def linear_backward(dy: np.ndarray, cache):
 
 
 def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    y = gamma * xhat + beta
+    # ``x.mean`` is ``add.reduce`` divided by the count, so these are its bits;
+    # each in-place step acts on a temporary made just before it.
+    n = x.shape[-1]
+    xc = x - np.add.reduce(x, -1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, -1, keepdims=True) / n
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xhat = np.multiply(xc, inv, out=xc)
+    y = gamma * xhat
+    y += beta
     return y, (xhat, inv, gamma)
 
 
@@ -158,9 +168,10 @@ def layer_norm_backward(dy: np.ndarray, cache):
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - np.maximum.reduce(x, -1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, -1, keepdims=True)
+    return e
 
 
 def softmax_backward(dy: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -189,7 +200,7 @@ def attention_forward(x: np.ndarray, p: dict, prefix: str, heads: int):
     q = _split_heads(q_m, heads)
     k = _split_heads(k_m, heads)
     v = _split_heads(v_m, heads)
-    scale = float(1.0 / np.sqrt(q.shape[-1]))  # a Python float keeps float32 float32
+    scale = 1.0 / math.sqrt(q.shape[-1])  # a Python float keeps float32 float32
     logits = (q @ k.swapaxes(-1, -2)) * scale
     attn = softmax(logits)
     ctx = _merge_heads(attn @ v)
@@ -231,7 +242,8 @@ def token_conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     bs, t, _ = x.shape
     xp = np.zeros((bs, t + 2 * pad, d), dtype=x.dtype)
     xp[:, pad:pad + t, :] = x
-    y = np.tile(b, (bs, t, 1)).astype(x.dtype)
+    y = np.empty((bs, t, dout), dtype=x.dtype)
+    y[...] = b
     for j in range(kw):
         y += xp[:, j:j + t, :] @ w[j]
     return y, (xp, w, t)

@@ -25,7 +25,6 @@ one-wide embedding, whose single column is the logit of a frame.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,10 +281,10 @@ def classify_tokens(model: TransDopeModel, tokens: np.ndarray, caches: list | No
     for i in range(cfg.encoder_layers):
         x, cache = _encoder_forward(x, p, f"l{i}_", cfg.heads, caches is not None)
         enc_caches.append(cache)
-    pooled = x.mean(axis=1)
+    pooled = np.add.reduce(x, 1) / x.shape[1]  # the bits of x.mean(axis=1)
     logits, _ = layers.linear_forward(pooled, p["head_w"], p["head_b"])
     logits = logits[:, 0]
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericsError("forward pass produced a non-finite logit")
     if caches is not None:
         caches.extend((pooled, enc_caches))
@@ -344,17 +343,20 @@ class SlidingClassifier:
 
     def __init__(self, model: TransDopeModel):
         self.model = model
-        self._tokens: deque[np.ndarray] = deque(maxlen=model.config.seq_len)
+        cfg = model.config
+        # oldest row first; only the last ``len(self)`` rows are live
+        self._tokens = np.empty((cfg.seq_len, cfg.embed_dim), model.params["embed_w"].dtype)
+        self._count = 0
 
     def __len__(self) -> int:
-        return len(self._tokens)
+        return self._count
 
     @property
     def ready(self) -> bool:
-        return len(self._tokens) == self.model.config.seq_len
+        return self._count == len(self._tokens)
 
     def reset(self):
-        self._tokens.clear()
+        self._count = 0
 
     def push(self, frame_values: np.ndarray) -> float | None:
         """Add a frame; returns the window probability once full, else None."""
@@ -363,8 +365,12 @@ class SlidingClassifier:
             raise ValueError(
                 f"expected a frame shaped {self.model.config.frame_shape}, got {frame.shape}"
             )
-        self._tokens.append(embed_frame(self.model, frame[None])[0])
+        token = embed_frame(self.model, frame[None])[0]
+        tokens = self._tokens
+        tokens[:-1] = tokens[1:]
+        tokens[-1] = token
+        self._count = min(self._count + 1, len(tokens))
         if not self.ready:
             return None
-        logits = classify_tokens(self.model, np.stack(tuple(self._tokens))[None])
+        logits = classify_tokens(self.model, tokens[None])
         return float(layers.sigmoid(logits)[0])

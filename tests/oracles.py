@@ -6,6 +6,11 @@ the straightforward loop im2col, ``dcols`` col2im and argmax pooling that
 the layers in ``transdope.layers`` must match bit for bit, and a conv
 stack composed of them with ReLU before pooling, which
 ``model.embed_frame`` must match although it pools before ReLU.
+
+The ``*_helper_form`` references are earlier forms of the per-burst code,
+written with numpy's convenience helpers (``sliding_window_view``,
+``fftshift``, ``mean``, ``tile``).  The faster forms that replaced them
+must produce the same bytes.
 """
 
 import numpy as np
@@ -140,3 +145,53 @@ def oracle_conv_stack_backward(demb: np.ndarray, cache, params: dict) -> dict:
         if conv == "conv2":
             d = oracle_conv2d_input_grad(d, w)
     return grads
+
+
+# ---------------------------------------------------------------------------
+# Helper forms of the per-burst code
+
+
+def im2col_helper_form(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """``layers._im2col`` through ``sliding_window_view`` and a transpose."""
+    b, hp, wp, c = xp.shape
+    h, w = hp - kh + 1, wp - kw + 1
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, h, w, kh * kw * c)
+
+
+def crd_helper_form(rp: np.ndarray) -> np.ndarray:
+    """``dsp.complex_range_doppler`` through ``np.fft.fftshift``."""
+    return np.fft.fftshift(np.fft.fft(rp, axis=1), axes=1)
+
+
+def linear_helper_form(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return x @ w + b
+
+
+def layer_norm_helper_form(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps=1e-5):
+    """``layers.layer_norm_forward`` through ``mean``; returns (y, xhat, inv)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return gamma * xhat + beta, xhat, inv
+
+
+def softmax_helper_form(x: np.ndarray) -> np.ndarray:
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def token_conv_helper_form(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``layers.token_conv_forward`` with its bias laid down by ``np.tile``."""
+    kw, d, _ = w.shape
+    pad = kw // 2
+    bs, t, _ = x.shape
+    xp = np.zeros((bs, t + 2 * pad, d), dtype=x.dtype)
+    xp[:, pad:pad + t, :] = x
+    y = np.tile(b, (bs, t, 1)).astype(x.dtype)
+    for j in range(kw):
+        y += xp[:, j:j + t, :] @ w[j]
+    return y

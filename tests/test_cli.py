@@ -259,6 +259,8 @@ def test_consume_with_model_writes_detections(work, tmp_path, capsys):
     summary = captured.err.split()
     assert "detections=3" in summary
     assert "other_errors=0" in summary
+    assert "gap_bursts=0" in summary
+    assert "unknown_kinds=0" in summary
 
 
 def test_consume_writes_the_same_csv_to_stdout(work, capsys):

@@ -6,7 +6,7 @@ import pytest
 from mmsentry import dsp
 from mmsentry.radar_core import RadarConfig, RawBurst
 
-from oracles import oracle_chain, oracle_crd, oracle_range_profile
+from oracles import crd_helper_form, oracle_chain, oracle_crd, oracle_range_profile
 
 CFG = RadarConfig()
 
@@ -167,3 +167,12 @@ def test_process_burst_composition_identity(monkeypatch):
         staged = dsp.ard(dsp.complex_range_doppler(dsp.range_profile(burst.data)))
         assert direct.values.tobytes() == staged.tobytes(), dtype
         assert (direct.burst_id, direct.timestamp_us) == (3, 9)
+
+
+@pytest.mark.parametrize("chirps", [2, 5, 16])
+def test_complex_range_doppler_matches_fftshift_form(chirps):
+    # 5 is no RadarConfig's (chirps are a power of two), so a bare array
+    rng = np.random.default_rng(chirps)
+    shape = (chirps, 64, 3)
+    rp = dsp.range_profile(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    assert dsp.complex_range_doppler(rp).tobytes() == crd_helper_form(rp).tobytes()

@@ -564,6 +564,7 @@ def test_paced_stream_drops_only_what_a_stall_backs_up(tmp_path):
     assert consumer.stats.bursts + producer.stats.dropped == 40
     assert producer.stats.dropped >= 1
     assert consumer.stats.order_regressions == 0  # every id rose strictly
+    assert consumer.stats.gap_bursts == producer.stats.dropped  # each drop is a missing id
     assert consumer._last_id == 39  # the last burst is never overwritten
 
 
@@ -717,3 +718,34 @@ def test_undecodable_config_and_id_regression_restart_window(payload):
     assert consumer.stats.bursts == 25
     assert consumer.stats.order_regressions == 1
     assert consumer.config == SMALL
+
+
+def test_id_gap_restarts_window_and_counts_missing_ids():
+    # ids 0-9, then 14-22: no window spans the four missing ids
+    src = SceneSource("person", seed=7, config=SMALL)
+    ids = (*range(10), *range(14, 23))
+    blob = [config_frame(encode_config_payload(SMALL)), *(src.next_payload(i, i) for i in ids)]
+    consumer, windows = consume_blob(b"".join(blob))
+
+    assert windows == [(0, 7), (1, 8), (2, 9), (14, 21), (15, 22)]
+    assert consumer.stats.gap_bursts == 4
+    assert consumer.stats.order_regressions == 0
+    assert consumer.stats.bursts == 19
+
+
+def test_unknown_kinds_are_counted_and_leave_the_window_alone():
+    # a kind-2 and a kind-7 frame, CRC-valid, between bursts 4 and 5
+    src = SceneSource("person", seed=7, config=SMALL)
+    blob = [config_frame(encode_config_payload(SMALL)), *(src.next_payload(i, i) for i in range(5))]
+    blob += [
+        encode_frame(WireFrame(kind=kind, burst_id=5, timestamp_us=5, payload=b"??"))
+        for kind in (2, 7)
+    ]
+    blob += [src.next_payload(i, i) for i in range(5, 10)]
+    consumer, windows = consume_blob(b"".join(blob))
+
+    assert windows == [(0, 7), (1, 8), (2, 9)]
+    assert consumer.stats.unknown_kinds == 2
+    assert consumer.stats.frames == 13  # the config, 10 bursts and the two others
+    assert consumer.stats.other_errors == 0
+    assert consumer.stats.gap_bursts == 0

@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,9 @@ from mmsentry.transdope import model as tdmodel
 from mmsentry.transdope.model import _backward_batch, _forward_batch, param_spec
 
 from oracles import (
+    im2col_helper_form,
+    layer_norm_helper_form,
+    linear_helper_form,
     oracle_conv2d_forward,
     oracle_conv2d_input_grad,
     oracle_conv_stack_backward,
@@ -40,6 +44,8 @@ from oracles import (
     oracle_im2col,
     oracle_maxpool2_backward,
     oracle_maxpool2_forward,
+    softmax_helper_form,
+    token_conv_helper_form,
 )
 
 TINY = TransDopeConfig(
@@ -386,6 +392,7 @@ def test_conv2d_forward_matches_loop_im2col(batch):
         assert y.tobytes() == oracle_conv2d_forward(x, wt, b).tobytes()
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
         assert cols.tobytes() == oracle_im2col(xp, k, k).tobytes()
+        assert cols.tobytes() == im2col_helper_form(xp, k, k).tobytes()
 
 
 @pytest.mark.parametrize("batch", [1, 64])
@@ -408,6 +415,51 @@ def test_conv2d_param_grads_match_full_backward():
     pw, pb = layers.conv2d_param_grads(dy, cache)
     assert pw.tobytes() == dw.tobytes()
     assert pb.tobytes() == db.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Per-burst layers against the numpy-helper forms they replaced, by bytes
+# (``_im2col``'s is checked with the loop im2col above)
+
+
+def helper_form_inputs(width, dtype, seed):
+    """Tokens off zero and far from unit scale, and parameters, all in ``dtype``."""
+    r = rng(seed)
+    x = (r.normal(size=(3, 8, width)) * 10.0 + 3.0).astype(dtype)
+    return x, r.normal(size=width).astype(dtype), r.normal(size=width).astype(dtype)
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [8, 96, 128])
+def test_layer_norm_forward_matches_mean_form(width, dtype):
+    x, gamma, beta = helper_form_inputs(width, dtype, seed=width)
+    y, (xhat, inv, _) = layers.layer_norm_forward(x, gamma, beta)
+    want_y, want_xhat, want_inv = layer_norm_helper_form(x, gamma, beta)
+    assert_same_bytes(y, want_y)
+    assert_same_bytes(xhat, want_xhat)
+    assert_same_bytes(inv, want_inv)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [8, 96, 128])
+def test_softmax_and_linear_forward_match_helper_forms(width, dtype):
+    x, _, b = helper_form_inputs(width, dtype, seed=width + 1)
+    assert_same_bytes(layers.softmax(x), softmax_helper_form(x))
+    w = rng(width + 2).normal(size=(width, width)).astype(dtype)
+    assert_same_bytes(layers.linear_forward(x, w, b)[0], linear_helper_form(x, w, b))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [8, 96, 128])
+def test_token_conv_forward_matches_tile_form(width, dtype):
+    x, _, b = helper_form_inputs(width, dtype, seed=width + 3)
+    w = rng(width + 4).normal(size=(3, width, width)).astype(dtype)
+    assert_same_bytes(layers.token_conv_forward(x, w, b)[0], token_conv_helper_form(x, w, b))
 
 
 @pytest.mark.parametrize("kind", ["relu", "ties", "conv_bias", "conv_bias_masked_dy"])
@@ -519,6 +571,26 @@ def test_sliding_classifier_matches_batch_forward():
     clf.reset()
     assert len(clf) == 0
     assert clf.push(frames[0]) is None
+
+
+def test_sliding_probabilities_match_stacked_tokens_bit_for_bit():
+    # a reset mid-stream: the next window must not see a stale token row
+    cfg = replace(TINY, seq_len=4)
+    model = TransDopeModel.initialize(cfg, seed=0)
+    frames = rng(17).uniform(0.0, 3.0, (11, *cfg.frame_shape))
+    clf = SlidingClassifier(model)
+    tokens = []
+    for k, frame in enumerate(frames):
+        if k == 5:
+            clf.reset()
+            tokens.clear()
+        prob = clf.push(frame)
+        tokens.append(embed_frame(model, frame[None])[0])
+        if len(tokens) < cfg.seq_len:
+            assert prob is None
+            continue
+        window = np.stack(tokens[-cfg.seq_len:])[None]
+        assert prob == float(layers.sigmoid(classify_tokens(model, window))[0])
 
 
 def test_sliding_push_peak_memory_under_one_mib():
