@@ -4,8 +4,8 @@ Both FFTs are unnormalized forward transforms, so a unit-amplitude reflector
 at integer bins (b, d) produces a range-profile peak of magnitude N and a
 range-Doppler peak of magnitude N * P.  No window is applied; channels are
 processed independently end to end.  The stages work on bare arrays; only
-``process_burst`` builds data types, and ``RawBurst`` and ``ARDFrame`` check
-its input and output.
+``process_burst`` builds data types.  ``RawBurst`` checks the input once, at
+the boundary; ``ARDFrame`` checks only the rank of the output.
 """
 
 from __future__ import annotations

@@ -170,7 +170,9 @@ class ARDFrame:
     """Absolute range-Doppler magnitudes, laid out [range bin, doppler bin, channel].
 
     The Doppler axis is center-shifted: zero radial velocity sits at bin
-    ``chirps_per_burst / 2``.
+    ``chirps_per_burst / 2``.  ``dsp.process_burst`` builds it from a burst
+    that ``RawBurst`` has checked, so the values are finite and non-negative
+    by construction; only their rank is checked here.
     """
 
     burst_id: int
@@ -181,10 +183,6 @@ class ARDFrame:
         values = np.ascontiguousarray(self.values, dtype=np.float64)
         if values.ndim != 3:
             raise ValueError(f"ARD values must be 3-D, got shape {values.shape}")
-        if not np.isfinite(values).all():
-            raise ValueError(f"ARD frame {self.burst_id} contains non-finite values")
-        if (values < 0.0).any():
-            raise ValueError(f"ARD frame {self.burst_id} contains negative values")
         object.__setattr__(self, "values", _freeze(values))
 
     @property

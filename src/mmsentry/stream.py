@@ -13,7 +13,8 @@ Frame layout, all integers little-endian:
     24+n    4     crc32 (zlib) over header+payload
 
 Burst payloads carry the raw complex samples as interleaved float32 I/Q in
-(chirp, sample, channel) order.  A paced producer stamps each burst with
+(chirp, sample, channel) order.  A reader skips any fault to the next magic
+marker and raises one error per skip (``FrameReader``).  A paced producer stamps each burst with
 the deadline it fell due at and never queues a stale one: when a blocked send
 or a late wake-up outlasts later deadlines, it generates every burst that fell
 due, sends only the newest and counts the rest as dropped (keep-latest).  A lossless producer
@@ -29,7 +30,6 @@ import struct
 import threading
 import time
 import zlib
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,45 +121,58 @@ def encode_frame(frame: WireFrame) -> bytes:
     return body + _CRC.pack(zlib.crc32(body))
 
 
-def _checked_frame(raw: bytes) -> WireFrame:
-    """``raw`` is exactly one frame with a checked header: verify its CRC and build it."""
-    _, _, kind, burst_id, timestamp_us, _ = _HEADER.unpack_from(raw)
-    end = len(raw) - _CRC.size
-    (crc_stored,) = _CRC.unpack_from(raw, end)
-    if zlib.crc32(raw[:end]) != crc_stored:
-        raise BadCrcError(f"crc mismatch on burst_id {burst_id}")
-    return WireFrame(
-        kind=kind,
-        burst_id=burst_id,
-        timestamp_us=timestamp_us,
-        payload=raw[_HEADER.size : end],
-    )
+def _frame_length(header) -> int:
+    """Total bytes of the frame that ``header`` starts, once its fixed fields hold."""
+    magic, version, _, _, _, payload_len = _HEADER.unpack_from(header)
+    if magic != MAGIC:
+        raise BadMagicError(f"bad magic {bytes(magic)!r}")
+    if version != VERSION:
+        raise UnsupportedVersionError(f"unsupported version {version}")
+    if payload_len > MAX_PAYLOAD:
+        raise TruncatedFrameError(f"implausible payload length {payload_len}")
+    return _HEADER.size + payload_len + _CRC.size
+
+
+def _checked_frame(data, total: int) -> WireFrame:
+    """The ``total``-byte frame at the start of ``data``, once its CRC holds.
+
+    The payload is copied once, and no view outlives the call, so a
+    ``bytearray`` passed in can be resized after it returns or raises.
+    """
+    end = total - _CRC.size
+    _, _, kind, burst_id, timestamp_us, _ = _HEADER.unpack_from(data)
+    (crc_stored,) = _CRC.unpack_from(data, end)
+    with memoryview(data) as view:
+        # copy before the CRC: the copy pulls cold bytes into cache faster than crc32 does
+        payload = bytes(view[_HEADER.size : end])
+        if zlib.crc32(view[:end]) != crc_stored:
+            raise BadCrcError(f"crc mismatch on burst_id {burst_id}")
+    return WireFrame(kind=kind, burst_id=burst_id, timestamp_us=timestamp_us, payload=payload)
 
 
 def decode_frame(data: bytes) -> WireFrame:
     """Strict single-frame decode; rejects anything but one whole valid frame."""
     if len(data) < _HEADER.size + _CRC.size:
         raise TruncatedFrameError(f"{len(data)} bytes cannot hold a frame")
-    magic, version, _, _, _, payload_len = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise UnsupportedVersionError(f"unsupported version {version}")
-    total = _HEADER.size + payload_len + _CRC.size
+    total = _frame_length(data)
     if len(data) < total:
         raise TruncatedFrameError(f"need {total} bytes, have {len(data)}")
     if len(data) > total:
         raise ValueError(f"{len(data) - total} trailing bytes after frame")
-    return _checked_frame(data)
+    return _checked_frame(data, total)
 
 
 class FrameReader:
     """Incremental parser over a byte source with magic-scan resync.
 
     ``read`` is called with a byte count and must return b"" at EOF (socket
-    ``recv`` semantics).  ``read_frame`` returns the next valid frame, None
-    at a clean EOF, or raises a ProtocolError; after an error the internal
-    buffer is positioned so the next call hunts for the next magic marker.
+    ``recv`` semantics).  ``read_frame`` returns the next frame, None at a
+    clean EOF, or raises a ProtocolError.  A frame leaves the buffer only
+    once its header and CRC hold.  Any fault (garbage, a bad header, a failed
+    CRC, EOF inside a frame) drops bytes up to the next magic marker, and the
+    whole skip raises one error, its first fault, when the next frame
+    verifies (the next call returns that frame) or the stream ends.  A wrong
+    but plausible length still waits for the bytes it claims.
     """
 
     def __init__(self, read):
@@ -176,48 +189,33 @@ class FrameReader:
                 self._buf.extend(chunk)
         return len(self._buf) >= n
 
-    def _consume(self, n: int) -> bytes:
-        out = bytes(self._buf[:n])
-        del self._buf[:n]
-        return out
-
     def read_frame(self) -> WireFrame | None:
-        if not self._fill(len(MAGIC)):
-            if self._buf:
-                n = len(self._buf)
-                self._buf.clear()
-                raise TruncatedFrameError(f"{n} stray bytes at end of stream")
-            return None
-        if self._buf[: len(MAGIC)] != MAGIC:
-            idx = bytes(self._buf).find(MAGIC, 1)
-            if idx < 0:
-                # keep a tail shorter than the marker; it may be a prefix
-                keep = 0 if self._eof else len(MAGIC) - 1
-                skipped = len(self._buf) - keep
-                del self._buf[: len(self._buf) - keep]
-            else:
-                skipped = idx
-                del self._buf[:idx]
-            raise BadMagicError(f"skipped {skipped} bytes hunting for magic")
-        if not self._fill(_HEADER.size):
-            self._buf.clear()
-            raise TruncatedFrameError("stream ended inside a frame header")
-        _, version, _, _, _, payload_len = _HEADER.unpack_from(self._buf)
-        if payload_len > MAX_PAYLOAD:
-            self._consume(len(MAGIC))
-            raise TruncatedFrameError(f"implausible payload length {payload_len}")
-        total = _HEADER.size + payload_len + _CRC.size
-        if version != VERSION:
-            # length field is plausible, so step over the whole frame
-            if self._fill(total):
-                self._consume(total)
-            else:
-                self._buf.clear()
-            raise UnsupportedVersionError(f"unsupported version {version}")
-        if not self._fill(total):
-            self._buf.clear()
-            raise TruncatedFrameError("stream ended inside a frame payload")
-        return _checked_frame(self._consume(total))
+        error = None
+        while self._fill(_HEADER.size) or self._buf:
+            try:
+                if len(self._buf) < _HEADER.size:
+                    raise TruncatedFrameError("stream ended inside a frame header")
+                total = _frame_length(self._buf)
+                if not self._fill(total):
+                    raise TruncatedFrameError(f"stream ended inside a {total}-byte frame")
+                frame = _checked_frame(self._buf, total)
+            except ProtocolError as exc:
+                # raised later from here; its old traceback would only pin frames
+                error = error or exc.with_traceback(None)
+                # drop up to the next marker; at EOF without one, drop everything, and
+                # otherwise keep a tail shorter than the marker, as it may be a prefix
+                skip = self._buf.find(MAGIC, 1)
+                if skip < 0:
+                    skip = len(self._buf) - (0 if self._eof else len(MAGIC) - 1)
+                del self._buf[:skip]
+                continue
+            if error is None:
+                del self._buf[:total]
+                return frame
+            break  # the skip's error goes first; the next call returns this frame
+        if error is not None:
+            raise error
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +521,7 @@ class ConsumerStats:
     order_regressions: int = 0
     gap_bursts: int = 0  # ids skipped over by a burst id that jumped ahead
     unknown_kinds: int = 0  # CRC-valid frames neither burst nor config
+    config_mismatches: int = 0  # configs that decode but whose ARD frames do not fit the model
 
 
 class BurstConsumer:
@@ -530,14 +529,15 @@ class BurstConsumer:
 
     With no model attached the consumer still decodes and runs the DSP
     chain (transport soak mode); detections then never fire.  A config frame
-    that does not decode counts as a protocol error, and like a config whose
-    ARD frames do not fit the model it leaves no usable config: bursts count
-    as skipped until a config that decodes and fits arrives.  Every config
-    frame and every burst id that does not follow the one before restarts
-    the window, so a window holds consecutive bursts of one config.  A burst
-    id that does not rise counts in ``order_regressions``, and one that
-    jumps ahead counts the ids it skips in ``gap_bursts``; skipped bursts
-    take part in both, since their ids were received.
+    that does not decode counts as a protocol error, and one whose ARD frames
+    do not fit the model counts in ``config_mismatches``; either leaves no
+    usable config, and bursts count as skipped until a config that decodes
+    and fits arrives.  Every config frame, every burst whose payload does not
+    decode and every burst id that does not follow the one before restarts
+    the window, so a window holds ``seq_len`` consecutive bursts of one
+    config.  A burst id that does not rise counts in ``order_regressions``,
+    and one that jumps ahead counts the ids it skips in ``gap_bursts``;
+    skipped bursts take part in both, since their ids were received.
     """
 
     def __init__(
@@ -553,19 +553,11 @@ class BurstConsumer:
         self._sock: socket.socket | None = None
         self.config: RadarConfig | None = None
         self._window = None
-        self._window_ids: deque[int] = deque()
         self._last_id: int | None = None
         if model is not None:
             from .transdope.model import SlidingClassifier
 
             self._window = SlidingClassifier(model)
-            self._window_ids = deque(maxlen=model.config.seq_len)
-
-    def _usable(self, config: RadarConfig | None) -> RadarConfig | None:
-        """``config`` if the model can classify its frames, else None."""
-        if config is None or self.model is None:
-            return config
-        return config if config.ard_shape == self.model.config.frame_shape else None
 
     def connect(self):
         host, port = parse_endpoint(self.endpoint)
@@ -624,7 +616,11 @@ class BurstConsumer:
                     config = None
                 else:
                     self.stats.configs += 1
-                self.config = self._usable(config)
+                    fits = self.model is None or config.ard_shape == self.model.config.frame_shape
+                    if not fits:
+                        self.stats.config_mismatches += 1
+                        config = None
+                self.config = config
                 self._restart_window()
                 continue
             if frame.kind != KIND_BURST:
@@ -638,7 +634,6 @@ class BurstConsumer:
     def _restart_window(self):
         if self._window is not None:
             self._window.reset()
-            self._window_ids.clear()
 
     def _on_burst(self, frame: WireFrame):
         last, self._last_id = self._last_id, frame.burst_id
@@ -658,6 +653,7 @@ class BurstConsumer:
             )
         except ValueError:
             self.stats.skipped_bursts += 1
+            self._restart_window()
             return None
         self.stats.bursts += 1
 
@@ -665,13 +661,12 @@ class BurstConsumer:
         if self._window is None:
             return None
         probability = self._window.push(ard.values)
-        self._window_ids.append(frame.burst_id)
         if probability is None:
             return None
         latency_us = (time.perf_counter_ns() - started) // 1000
         self.stats.detections += 1
         return Detection(
-            first_burst_id=self._window_ids[0],
+            first_burst_id=frame.burst_id - self.model.config.seq_len + 1,
             last_burst_id=frame.burst_id,
             probability=float(probability),
             decision=int(probability >= 0.5),

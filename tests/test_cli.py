@@ -261,6 +261,7 @@ def test_consume_with_model_writes_detections(work, tmp_path, capsys):
     assert "other_errors=0" in summary
     assert "gap_bursts=0" in summary
     assert "unknown_kinds=0" in summary
+    assert "config_mismatches=0" in summary
 
 
 def test_consume_writes_the_same_csv_to_stdout(work, capsys):

@@ -237,6 +237,112 @@ def test_reader_reports_stream_ending_inside_frame():
     assert reader.read_frame() is None
 
 
+def read_all(reader: FrameReader) -> tuple[list[WireFrame], list[ProtocolError]]:
+    """Every frame ``reader`` returns up to EOF, and every error it raises on the way."""
+    frames, errors = [], []
+    while True:
+        try:
+            frame = reader.read_frame()
+        except ProtocolError as exc:
+            errors.append(exc)
+            continue
+        if frame is None:
+            return frames, errors
+        frames.append(frame)
+
+
+def burst_frames(count: int) -> list[WireFrame]:
+    """``count`` default-config burst frames, ids 0 up, carrying random samples."""
+    r = rng(8)
+    shape = RadarConfig().burst_shape
+    frames = []
+    for i in range(count):
+        data = r.standard_normal(shape) + 1j * r.standard_normal(shape)
+        payload = encode_burst_payload(RawBurst(i, i * 40_000, data))
+        frames.append(WireFrame(stream.KIND_BURST, i, i * 40_000, payload))
+    return frames
+
+
+def with_payload_len(raw: bytes, delta: int) -> bytes:
+    """The encoded frame ``raw`` with ``delta`` added to its payload_len, CRC left stale."""
+    damaged = bytearray(raw)
+    (length,) = struct.unpack_from("<I", damaged, 20)
+    struct.pack_into("<I", damaged, 20, length + delta)
+    return bytes(damaged)
+
+
+def with_bit_flipped(raw: bytes, bit: int) -> bytes:
+    damaged = bytearray(raw)
+    damaged[bit // 8] ^= 1 << (bit % 8)
+    return bytes(damaged)
+
+
+# (damage to frame 10, frames in the stream); a default burst frame is 24 604
+# bytes, so 1 MiB more claims an end 43 frames on: inside 200, past EOF of 40
+CORRUPTIONS = [
+    pytest.param(lambda raw: with_bit_flipped(raw, 8 * 1000 + 3), 200, id="payload_bit"),
+    pytest.param(lambda raw: with_payload_len(raw, 16), 200, id="len_plus_16"),
+    pytest.param(lambda raw: with_payload_len(raw, -16), 200, id="len_minus_16"),
+    pytest.param(lambda raw: with_payload_len(raw, 1 << 20), 200, id="len_plus_1mib_inside"),
+    pytest.param(lambda raw: with_payload_len(raw, 1 << 20), 40, id="len_plus_1mib_past_eof"),
+]
+
+
+def damaged_stream(damage, count: int) -> tuple[list[WireFrame], bytes]:
+    """``count`` burst frames with frame 10 damaged: the other frames, and the bytes."""
+    frames = burst_frames(count)
+    raws = [encode_frame(f) for f in frames]
+    raws[10] = damage(raws[10])
+    return frames[:10] + frames[11:], b"".join(raws)
+
+
+@pytest.mark.parametrize("damage, count", CORRUPTIONS)
+def test_reader_loses_only_the_damaged_frame(damage, count):
+    others, blob = damaged_stream(damage, count)
+    frames, errors = read_all(reader_over(blob))
+    assert [f.burst_id for f in frames] == [f.burst_id for f in others]
+    assert frames == others
+    assert len(errors) == 1, errors
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    frames=st.lists(
+        st.builds(
+            WireFrame,
+            kind=st.integers(0, (1 << 16) - 1),
+            burst_id=st.integers(0, (1 << 32) - 1),
+            timestamp_us=st.integers(0, (1 << 64) - 1),
+            payload=st.binary(max_size=64),
+        ),
+        min_size=2,
+        max_size=7,
+    ),
+    data=st.data(),
+)
+def test_one_damaged_frame_costs_that_frame_and_one_error(frames, data):
+    raws = [encode_frame(f) for f in frames]
+    hit = data.draw(st.integers(0, len(raws) - 1), label="damaged frame")
+    raw = raws[hit]
+    damage = data.draw(st.sampled_from(["bit", "payload_len", "version"]), label="damage")
+    if damage == "bit":
+        raws[hit] = with_bit_flipped(raw, data.draw(st.integers(0, 8 * len(raw) - 1), label="bit"))
+    elif damage == "payload_len":
+        length = data.draw(
+            st.integers(0, (1 << 32) - 1).filter(lambda n: n != len(frames[hit].payload)),
+            label="payload_len",
+        )
+        raws[hit] = raw[:20] + struct.pack("<I", length) + raw[24:]
+    else:
+        version = data.draw(
+            st.integers(0, (1 << 16) - 1).filter(lambda v: v != stream.VERSION), label="version"
+        )
+        raws[hit] = raw[:4] + struct.pack("<H", version) + raw[6:]
+    received, errors = read_all(reader_over(b"".join(raws)))
+    assert received == frames[:hit] + frames[hit + 1 :]
+    assert len(errors) == 1, errors
+
+
 # ---------------------------------------------------------------------------
 # Payload codecs
 
@@ -684,6 +790,7 @@ def test_config_frame_restarts_window():
 
     assert windows == [(0, 7), (1, 8), (12, 19)]
     assert consumer.stats.configs == 3
+    assert consumer.stats.config_mismatches == 1
     assert consumer.stats.skipped_bursts == 3
     assert consumer.stats.bursts == 17
     assert consumer.config == SMALL
@@ -749,3 +856,32 @@ def test_unknown_kinds_are_counted_and_leave_the_window_alone():
     assert consumer.stats.frames == 13  # the config, 10 bursts and the two others
     assert consumer.stats.other_errors == 0
     assert consumer.stats.gap_bursts == 0
+
+
+def test_burst_that_does_not_decode_restarts_window():
+    # ids 0-14 with burst 4's payload 8 bytes short under a valid CRC: no
+    # window spans the burst that was skipped
+    src = SceneSource("person", seed=7, config=SMALL)
+    raws = [src.next_payload(i, i) for i in range(15)]
+    short = decode_frame(raws[4])
+    raws[4] = encode_frame(WireFrame(short.kind, 4, 4, short.payload[:-8]))
+    consumer, windows = consume_blob(config_frame(encode_config_payload(SMALL)) + b"".join(raws))
+
+    assert windows == [(5, 12), (6, 13), (7, 14)]
+    assert consumer.stats.skipped_bursts == 1
+    assert consumer.stats.bursts == 14
+    assert consumer.stats.gap_bursts == 0
+
+
+@pytest.mark.parametrize("damage, count", CORRUPTIONS)
+def test_consumer_counts_one_error_for_one_damaged_frame(damage, count):
+    _, blob = damaged_stream(damage, count)
+    thread, endpoint = serve_once(config_frame(encode_config_payload(RadarConfig())) + blob)
+    consumer = BurstConsumer(endpoint)  # no model: every burst is decoded and run through the DSP
+    list(consumer.detections())
+    consumer.close()
+    thread.join(timeout=10.0)
+
+    assert consumer.stats.crc_errors + consumer.stats.other_errors == 1
+    assert consumer.stats.bursts == count - 1
+    assert consumer.stats.gap_bursts == 1  # id 10
