@@ -139,9 +139,12 @@ def cmd_train(args) -> int:
     history_path = Path(args.history or f"{args.out}.history.csv")
     with open(history_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "lr", "loss", "accuracy"])
+        writer.writerow(["epoch", "lr", "loss", "accuracy", "forward_s", "backward_s", "update_s"])
         for h in history:
-            writer.writerow([h.epoch, f"{h.lr:.6g}", f"{h.loss:.6f}", f"{h.accuracy:.4f}"])
+            writer.writerow([
+                h.epoch, f"{h.lr:.6g}", f"{h.loss:.6f}", f"{h.accuracy:.4f}",
+                f"{h.forward_s:.6f}", f"{h.backward_s:.6f}", f"{h.update_s:.6f}",
+            ])
 
     ckpt.save_model(model, args.out)
     line = f"saved {args.out}; train accuracy {history[-1].accuracy:.3f}"

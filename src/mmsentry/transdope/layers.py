@@ -17,63 +17,79 @@ import numpy as np
 # 2-D convolution (stride 1, same zero padding) via im2col
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+def _im2col(xp: np.ndarray, kh: int, kw: int, out: np.ndarray | None = None) -> np.ndarray:
     """(B, H+kh-1, W+kw-1, C) padded input -> (B, H, W, kh*kw*C) columns.
 
     Column order is (dy, dx, channel), matching ``w.reshape(kh*kw*C, Cout)``.
     The (B, H, W, kh, kw, C) window view costs nothing and never leaves this
-    function; the reshape makes the one copy.
+    function; the reshape makes the one copy, or copying into ``out`` does.
     """
     b, hp, wp, c = xp.shape
     h, w = hp - kh + 1, wp - kw + 1
     sb, sh, sw, sc = xp.strides
     windows = np.lib.stride_tricks.as_strided(xp, (b, h, w, kh, kw, c), (sb, sh, sw, sh, sw, sc))
-    return windows.reshape(b, h, w, kh * kw * c)
+    if out is None:
+        return windows.reshape(b, h, w, kh * kw * c)
+    out.reshape(windows.shape)[...] = windows
+    return out
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """x: (B, H, W, Cin), w: (kh, kw, Cin, Cout), b: (Cout,) -> (B, H, W, Cout)."""
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, cols=None, out=None):
+    """x: (B, H, W, Cin), w: (kh, kw, Cin, Cout), b: (Cout,) -> (B, H, W, Cout).
+
+    ``cols`` and ``out``, C-contiguous arrays shaped as the cached columns
+    and the output, are filled in place of new arrays: a chunk's rows of a
+    larger batch's buffers.
+    """
     kh, kw, cin, cout = w.shape
     pad_h, pad_w = kh // 2, kw // 2
     bs, h, wd, _ = x.shape
     xp = np.zeros((bs, h + 2 * pad_h, wd + 2 * pad_w, cin), dtype=x.dtype)
     xp[:, pad_h:pad_h + h, pad_w:pad_w + wd, :] = x
-    cols = _im2col(xp, kh, kw)
-    y = cols.reshape(bs * h * wd, -1) @ w.reshape(-1, cout)
+    cols = _im2col(xp, kh, kw, cols)
+    y = np.matmul(
+        cols.reshape(bs * h * wd, -1), w.reshape(-1, cout),
+        out=None if out is None else out.reshape(bs * h * wd, cout),
+    )
     y += b
-    return y.reshape(bs, h, wd, cout), (cols, w, x.shape)
+    return y.reshape(bs, h, wd, cout), (cols, w)
 
 
 def conv2d_param_grads(dy: np.ndarray, cache):
-    """Weight and bias gradients of a convolution, without its input gradient."""
-    cols, w, _ = cache
+    """Weight and bias gradients of a convolution: one product over all of dy's rows.
+
+    A slice of the output channels (``dy[..., c]`` with ``w[..., c]`` in the
+    cache) gives those channels' entries with the same bytes.
+    """
+    cols, w = cache
     dyf = dy.reshape(-1, w.shape[-1])
     dw = (cols.reshape(dyf.shape[0], -1).T @ dyf).reshape(w.shape)
     return dw, dyf.sum(axis=0)
 
 
-def conv2d_backward(dy: np.ndarray, cache):
-    cols, w, x_shape = cache
+def conv2d_backward(dy: np.ndarray, cache) -> np.ndarray:
+    """Input gradient of a convolution; :func:`conv2d_param_grads` gives the rest."""
+    cols, w = cache
     kh, kw, cin, cout = w.shape
     pad_h, pad_w = kh // 2, kw // 2
     bs, h, wd, _ = cols.shape
-    dw, db = conv2d_param_grads(dy, cache)
     dyf = dy.reshape(-1, cout)
     # col2im one kernel offset at a time: no (rows, kh*kw*cin) array is built
     dxp = np.zeros((bs, h + 2 * pad_h, wd + 2 * pad_w, cin), dtype=dy.dtype)
     for ddy in range(kh):
         for ddx in range(kw):
             dxp[:, ddy:ddy + h, ddx:ddx + wd, :] += (dyf @ w[ddy, ddx].T).reshape(bs, h, wd, cin)
-    return dxp[:, pad_h:pad_h + x_shape[1], pad_w:pad_w + x_shape[2], :], dw, db
+    return dxp[:, pad_h:pad_h + h, pad_w:pad_w + wd, :]
 
 
 # ---------------------------------------------------------------------------
 # ReLU
 
 
-def relu_forward(x: np.ndarray):
-    mask = x > 0.0
-    return x * mask, mask
+def relu_forward(x: np.ndarray, out=None, mask=None):
+    """``out`` and ``mask``, when given, receive the output and the mask."""
+    mask = np.greater(x, 0.0, out=mask)
+    return np.multiply(x, mask, out=out), mask
 
 
 def relu_backward(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -84,19 +100,21 @@ def relu_backward(dy: np.ndarray, mask: np.ndarray) -> np.ndarray:
 # 2x2 max pooling, stride 2
 
 
-def maxpool2_forward(x: np.ndarray):
-    """x: (B, H, W, C) with even H, W -> (B, H/2, W/2, C)."""
+def maxpool2_forward(x: np.ndarray, out=None):
+    """x: (B, H, W, C) with even H, W -> (B, H/2, W/2, C), into ``out`` if given."""
     # np.maximum returns its second argument when both are zeros of either
     # sign, so the earlier position goes second: a window of zeros then
     # yields the zero (and its sign) at its first position, as argmax does.
     y = np.maximum(
         np.maximum(x[:, 1::2, 1::2], x[:, 1::2, 0::2]),
         np.maximum(x[:, 0::2, 1::2], x[:, 0::2, 0::2]),
+        out=out,
     )
     return y, (x, y)
 
 
-def maxpool2_backward(dy: np.ndarray, cache) -> np.ndarray:
+def maxpool2_backward(dy: np.ndarray, cache, out=None) -> np.ndarray:
+    """dy: (B, H/2, W/2, C) -> (B, H, W, C), into ``out`` (C-contiguous) if given."""
     x, y = cache
     b, h, w, c = x.shape
     hit = x.reshape(b, h // 2, 2, w // 2, 2, c) == y[:, :, None, :, None, :]
@@ -107,7 +125,11 @@ def maxpool2_backward(dy: np.ndarray, cache) -> np.ndarray:
     np.greater(h10, seen, out=h10)
     np.greater(h11, seen | h10, out=h11)
     # dy's bits where hit, +0.0 elsewhere: exact where a multiply is not (-0.0, inf)
-    dx = dy[:, :, None, :, None, :].view(f"i{dy.itemsize}") & -hit.view(np.int8)
+    bits = f"i{dy.itemsize}"
+    dx = np.bitwise_and(
+        dy[:, :, None, :, None, :].view(bits), -hit.view(np.int8),
+        out=None if out is None else out.reshape(hit.shape).view(bits),
+    )
     return dx.view(dy.dtype).reshape(x.shape)
 
 

@@ -21,10 +21,27 @@ training all compose them: :func:`embed_frame` maps frames to position-free
 tokens, and :func:`classify_tokens` maps a token sequence to logits.
 Pretraining composes :func:`embed_frame` too: its throwaway model has a
 one-wide embedding, whose single column is the logit of a frame.
+
+The conv stack, most of the work, runs in chunks of ``CHUNK_FRAMES`` frames
+on one worker thread per CPU the process may use (``os.sched_getaffinity``);
+numpy lets go of the GIL inside BLAS and its array loops, so the chunks run
+in parallel.  Work is split only along axes that no sum runs over: a chunk
+holds whole frames for im2col, the conv product, pooling and ReLU, and on
+the way back for ReLU, pooling and conv2's input gradient.  A row of a matrix
+product comes from that input row alone, by the same BLAS code whatever the
+row count, and a weight gradient (``cols.T @ dy``, a sum over every row of
+the batch) stays one product, split only by output channel.  So the bytes
+depend on neither the chunk size nor the worker count; ``tests/digests.py``
+and the tests hold them to that.  A batch of ``CHUNK_FRAMES`` frames or fewer
+is one chunk and runs on the caller's thread, so the sliding window (one
+frame a push) and batches of up to two default sequences start no thread
+and pay no hand-off to one.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +49,12 @@ import numpy as np
 from . import layers
 
 POOL_STAGES = 2  # two fixed 2x2 max-pool stages after the convolutions
+CONVS = ("conv1", "conv2")  # one per pooling stage
+# Frames per chunk of the conv stack: conv2's float32 im2col columns of a
+# chunk take about 4.7 MB at the default shapes.
+CHUNK_FRAMES = 16
+WORKERS = len(os.sched_getaffinity(0))  # the CPUs this process may run on
+_pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="conv-stack")  # threads start on first use
 
 
 class NumericsError(ArithmeticError):
@@ -189,14 +212,6 @@ def _check_sequences(x: np.ndarray, config: TransDopeConfig):
         raise ValueError(f"expected a batch of sequences shaped (B, {want}), got {x.shape}")
 
 
-def _keep(result, caches: list | None):
-    """A layer's output; its cache is appended to ``caches`` unless that is None."""
-    y, cache = result
-    if caches is not None:
-        caches.append(cache)
-    return y
-
-
 def _encoder_forward(tokens: np.ndarray, p: dict, prefix: str, heads: int, with_cache: bool):
     h1, cl1 = layers.layer_norm_forward(tokens, p[prefix + "ln1_g"], p[prefix + "ln1_b"])
     attn_out, ca = layers.attention_forward(h1, p, prefix, heads)
@@ -227,27 +242,67 @@ def _encoder_backward(dy: np.ndarray, cache, p: dict, grads: dict):
     return dtokens + dx  # residual
 
 
+def _chunks(count: int) -> list[slice]:
+    return [slice(start, start + CHUNK_FRAMES) for start in range(0, count, CHUNK_FRAMES)]
+
+
+def _map(fn, parts: list) -> list:
+    """``[fn(part) for part in parts]`` on the workers; a lone part runs on this thread."""
+    if len(parts) == 1:
+        return [fn(parts[0])]
+    return list(_pool.map(fn, parts))
+
+
+def _stack_buffers(cfg: TransDopeConfig, count: int, dtype) -> list[tuple]:
+    """Per conv stage, full-batch (im2col columns, conv output, pooled, ReLU mask)."""
+    h, w, c = cfg.frame_shape
+    k, f = cfg.conv_kernel, cfg.conv_filters
+    buffers = []
+    for _ in CONVS:
+        buffers.append((
+            np.empty((count, h, w, k * k * c), dtype),
+            np.empty((count, h, w, f), dtype),
+            np.empty((count, h // 2, w // 2, f), dtype),
+            np.empty((count, h // 2, w // 2, f), bool),
+        ))
+        h, w, c = h // 2, w // 2, f
+    return buffers
+
+
 def embed_frame(model: TransDopeModel, frames: np.ndarray, caches: list | None = None):
     """(M, N, P, C) raw magnitudes -> (M, width of embed_w) position-free tokens.
 
-    Given a list, appends one entry (the layer caches and ``flat``) for
-    :func:`_embed_backward`.  Without one no name stays bound to a layer's
-    cache (im2col columns, ReLU mask, pooling input), so each temporary is
-    freed as soon as the next layer has consumed it.  That keeps the peak of
-    one frame small enough for the allocator to hold on to the memory
-    between frames.
+    The conv stack runs in chunks of ``CHUNK_FRAMES`` frames on the workers,
+    inline for a single chunk (see the module docstring for why neither
+    changes a byte).  Given a list, appends one entry (the stage buffers and
+    ``flat``) for :func:`_embed_backward`: each chunk writes its rows of the
+    caches into full-batch buffers allocated once per call.  Without one no
+    name stays bound to a layer's cache (im2col columns, ReLU mask, pooling
+    input) in any chunk, so each temporary is freed as soon as the next layer
+    has consumed it.  That keeps the peak of one frame small enough for the
+    allocator to hold on to the memory between frames.
     """
     cfg = model.config
     p = model.params
-    stage = [] if caches is not None else None
-    x = np.asarray(frames, dtype=p["conv1_w"].dtype) * cfg.input_scale
-    for conv in ("conv1", "conv2"):
-        x = _keep(layers.conv2d_forward(x, p[conv + "_w"], p[conv + "_b"]), stage)
-        x = _keep(layers.maxpool2_forward(x), stage)
-        x = _keep(layers.relu_forward(x), stage)
-    flat = x.reshape(len(x), cfg.feature_count)
+    dtype = p["conv1_w"].dtype
+    frames = np.asarray(frames)
+    flat = np.empty((len(frames), cfg.feature_count), dtype)
+    buffers = _stack_buffers(cfg, len(frames), dtype) if caches is not None else None
+
+    def run(rows: slice):
+        x = np.asarray(frames[rows], dtype=dtype) * cfg.input_scale
+        last = flat[rows].reshape(len(x), *cfg.pooled_shape)
+        for i, conv in enumerate(CONVS):
+            cols, conv_out, pooled, mask = (
+                (None,) * 4 if buffers is None else (b[rows] for b in buffers[i])
+            )
+            x = layers.conv2d_forward(x, p[conv + "_w"], p[conv + "_b"], cols, conv_out)[0]
+            x = layers.maxpool2_forward(x, pooled)[0]
+            x = layers.relu_forward(x, last if conv == CONVS[-1] else None, mask)[0]
+
+    _map(run, _chunks(len(frames)))
     if caches is not None:
-        caches.append((*stage, flat))
+        caches.append((buffers, flat))
     emb, _ = layers.linear_forward(flat, p["embed_w"], p["embed_b"])
     return emb
 
@@ -255,18 +310,42 @@ def embed_frame(model: TransDopeModel, frames: np.ndarray, caches: list | None =
 def _embed_backward(demb: np.ndarray, caches: list, model: TransDopeModel, grads: dict):
     """Gradients of the embedding and the conv stack; the input needs none.
 
-    ``caches`` is the list :func:`embed_frame` appended to; its entry comes first.
+    ``caches`` is the list :func:`embed_frame` appended to; its entry comes
+    first.  Chunks run the ReLU, pooling and conv2 input gradients on the
+    workers; each weight gradient stays one product over the whole batch,
+    with its output channels split across the workers.
     """
-    cc1, cp1, m1, cc2, cp2, m2, flat = caches[0]
-    dflat, grads["embed_w"], grads["embed_b"] = layers.linear_backward(
-        demb, (flat, model.params["embed_w"])
+    buffers, flat = caches[0]
+    p = model.params
+    dflat, grads["embed_w"], grads["embed_b"] = layers.linear_backward(demb, (flat, p["embed_w"]))
+    dpooled = dflat.reshape(len(flat), *model.config.pooled_shape)
+    (cols1, conv1, pool1, mask1), (cols2, conv2, pool2, mask2) = buffers
+    dconv1, dconv2 = np.empty_like(conv1), np.empty_like(conv2)
+
+    def run(rows: slice):
+        d = layers.relu_backward(dpooled[rows], mask2[rows])
+        d = layers.maxpool2_backward(d, (conv2[rows], pool2[rows]), dconv2[rows])
+        d = layers.conv2d_backward(d, (cols2[rows], p["conv2_w"]))
+        d = layers.relu_backward(d, mask1[rows])
+        layers.maxpool2_backward(d, (conv1[rows], pool1[rows]), dconv1[rows])
+
+    _map(run, _chunks(len(flat)))
+    grads["conv2_w"], grads["conv2_b"] = _conv_param_grads(dconv2, (cols2, p["conv2_w"]))
+    grads["conv1_w"], grads["conv1_b"] = _conv_param_grads(dconv1, (cols1, p["conv1_w"]))
+
+
+def _conv_param_grads(dy: np.ndarray, cache):
+    """A convolution's (dw, db), its output channels split across the workers.
+
+    Each entry is still one product (or sum) over every row of the batch.
+    """
+    cols, w = cache
+    step = -(-w.shape[-1] // WORKERS)
+    parts = _map(
+        lambda c: layers.conv2d_param_grads(dy[..., c], (cols, w[..., c])),
+        [slice(start, start + step) for start in range(0, w.shape[-1], step)],
     )
-    d = layers.relu_backward(dflat.reshape(len(flat), *model.config.pooled_shape), m2)
-    d = layers.maxpool2_backward(d, cp2)
-    d, grads["conv2_w"], grads["conv2_b"] = layers.conv2d_backward(d, cc2)
-    d = layers.relu_backward(d, m1)
-    d = layers.maxpool2_backward(d, cp1)
-    grads["conv1_w"], grads["conv1_b"] = layers.conv2d_param_grads(d, cc1)
+    return np.concatenate([dw for dw, _ in parts], axis=-1), np.concatenate([db for _, db in parts])
 
 
 def classify_tokens(model: TransDopeModel, tokens: np.ndarray, caches: list | None = None):

@@ -17,7 +17,8 @@ exactly the quantities being descended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -63,10 +64,20 @@ def learning_rate(cfg: TrainConfig, epoch: int) -> float:
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch's mean loss and accuracy, and the wall time of each phase.
+
+    ``forward_s`` covers the forward pass and the loss, ``backward_s`` the
+    gradients and ``update_s`` the SGD step, each summed over the batches.
+    Equality ignores the times, so two runs of one recipe compare equal.
+    """
+
     epoch: int
     lr: float
     loss: float
     accuracy: float
+    forward_s: float = field(compare=False)
+    backward_s: float = field(compare=False)
+    update_s: float = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -124,10 +135,12 @@ def _sgd(model, x, y, cfg: TrainConfig, rng, forward, backward) -> list[EpochSta
         order = rng.permutation(count)
         loss_sum = 0.0
         correct = 0
+        phase_s = [0.0, 0.0, 0.0]  # forward, backward, update
         for start in range(0, count, cfg.batch_size):
             where = f"epoch {epoch}, batch {start // cfg.batch_size}, lr {lr:g}"
             idx = order[start : start + cfg.batch_size]
             yb = y[idx]
+            t0 = time.perf_counter()
             try:
                 logits, caches = forward(work, x[idx])
             except NumericsError as exc:
@@ -137,11 +150,18 @@ def _sgd(model, x, y, cfg: TrainConfig, rng, forward, backward) -> list[EpochSta
                 raise TrainingDivergedError(
                     f"loss became {loss} at {where}; lower lr0 or inspect the input scaling"
                 )
-            for name, g in backward(work, dlogits, caches).items():
+            t1 = time.perf_counter()
+            grads = backward(work, dlogits, caches)
+            t2 = time.perf_counter()
+            for name, g in grads.items():
                 work.params[name] -= lr * g
+            t3 = time.perf_counter()
+            phase_s[0] += t1 - t0
+            phase_s[1] += t2 - t1
+            phase_s[2] += t3 - t2
             loss_sum += loss * len(idx)
             correct += int(np.sum((logits >= 0.0) == (yb == 1.0)))
-        history.append(EpochStats(epoch, lr, loss_sum / count, correct / count))
+        history.append(EpochStats(epoch, lr, loss_sum / count, correct / count, *phase_s))
     for name, p in model.params.items():
         p[...] = work.params[name]
     return history

@@ -21,6 +21,16 @@ pytest (no ``test_`` prefix); the recipes are fixed, so never reseed them.
   B=8 lr0 1e-2 seed 3; every parameter in declaration order, then the
   fine-tune losses.  Once on float64 inputs and once on float32 inputs,
   which train in float32.
+- ``recipe_round_float32``: one round of ``perfbench/``'s ``train_recipe``
+  at its batch shapes on a small float32 ``.ards`` set, the file
+  ``generate_dataset("person_with_metal", 38, seed=6)`` writes (default
+  ``TransDopeConfig``): ``pretrain_time_convs`` 1 epoch B=64 lr0 3e-2 seed 7
+  on the 80 frames of its first 10 sequences, ``apply_pretrained`` into
+  ``initialize(seed=7)``, ``train`` 2 epochs B=8 lr0 1e-2 seed 7 on the
+  next 12, then the logits ``evaluate`` computes at B=16 on the last 16;
+  every parameter in declaration order, then the pretrain and fine-tune
+  losses, then those logits.  Its batches run 1 to 8 chunks of the conv
+  stack.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mmsentry import scene_sim
+from mmsentry import dataset_io, scene_sim
 from mmsentry.transdope import layers
 from mmsentry.transdope.model import (
     SlidingClassifier,
@@ -101,12 +111,34 @@ def tiny_training(dtype) -> str:
     return digest(*model.params.values(), np.array([e.loss for e in history]))
 
 
+def recipe_round_float32() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        data = dataset_io.read_dataset(
+            scene_sim.generate_dataset("person_with_metal", 38, seed=6, out_path=Path(tmp) / "r.ards")
+        )
+    x, y = data.sequences, data.labels
+    assert x.dtype == np.float32
+    arch = TransDopeConfig()
+    pre = pretrain_time_convs(
+        (x[:10].reshape(-1, *arch.frame_shape), np.repeat(y[:10], arch.seq_len)),
+        TrainConfig(epochs=1, batch_size=64, lr0=3e-2, seed=7),
+        arch,
+    )
+    model = apply_pretrained(TransDopeModel.initialize(arch, seed=7), pre)
+    fit = (x[10:22], y[10:22])
+    model, history = train(model, fit, TrainConfig(epochs=2, batch_size=8, lr0=1e-2, seed=7))
+    held, _ = _forward_batch(x[22:], model, with_cache=False)
+    losses = [e.loss for e in pre.history + history]
+    return digest(*model.params.values(), np.array(losses), held)
+
+
 def main():
     digests = {
         **pr5_recipe(),
         "dataset": dataset(),
         "tiny_float64_training": tiny_training(np.float64),
         "tiny_float32_training": tiny_training(np.float32),
+        "recipe_round_float32": recipe_round_float32(),
     }
     for name, value in digests.items():
         print(f"{name:24s}{value}")

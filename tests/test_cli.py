@@ -143,10 +143,13 @@ def test_train_artifacts(work):
     assert model.config.frame_shape == (8, 4, 1)
 
     history = read_csv(f"{work['ckpt']}.history.csv")
-    assert history[0] == ["epoch", "lr", "loss", "accuracy"]
+    assert history[0] == [
+        "epoch", "lr", "loss", "accuracy", "forward_s", "backward_s", "update_s",
+    ]
     assert len(history) == 1 + 2  # header + one row per epoch
     assert history[1][0] == "0"
     assert float(history[1][1]) == pytest.approx(1e-2)
+    assert all(float(seconds) > 0.0 for row in history[1:] for seconds in row[4:])
 
 
 def test_train_warns_when_pretrain_data_missing(work, tmp_path, capsys):

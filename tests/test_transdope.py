@@ -1,7 +1,9 @@
 """The sequence classifier: shapes, closed-form sizes, gradients, training."""
 
 import struct
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -388,7 +390,7 @@ def test_conv2d_forward_matches_loop_im2col(batch):
         x = rng(batch).uniform(0.0, 1.0, (batch, h, w, cin))
         wt = rng(batch + 1).normal(size=(k, k, cin, f))
         b = rng(batch + 2).normal(size=f)
-        y, (cols, _, _) = layers.conv2d_forward(x, wt, b)
+        y, (cols, _) = layers.conv2d_forward(x, wt, b)
         assert y.tobytes() == oracle_conv2d_forward(x, wt, b).tobytes()
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
         assert cols.tobytes() == oracle_im2col(xp, k, k).tobytes()
@@ -403,18 +405,21 @@ def test_conv2d_input_grad_matches_dcols_col2im(batch):
         wt = rng(batch + 1).normal(size=(k, k, cin, f))
         _, cache = layers.conv2d_forward(x, wt, np.zeros(f))
         dy = rng(batch + 3).normal(size=(batch, h, w, f))
-        dx, _, _ = layers.conv2d_backward(dy, cache)
+        dx = layers.conv2d_backward(dy, cache)
         assert dx.tobytes() == oracle_conv2d_input_grad(dy, wt).tobytes()
 
 
-def test_conv2d_param_grads_match_full_backward():
+def test_conv2d_param_grads_by_output_channel_match_whole():
+    # the model splits a weight gradient's output channels across workers
     x = rng(20).uniform(0.0, 1.0, (4, 8, 4, 3))
-    _, cache = layers.conv2d_forward(x, rng(21).normal(size=(3, 3, 3, 5)), np.zeros(5))
+    w = rng(21).normal(size=(3, 3, 3, 5))
+    _, (cols, _) = layers.conv2d_forward(x, w, np.zeros(5))
     dy = rng(22).normal(size=(4, 8, 4, 5))
-    _, dw, db = layers.conv2d_backward(dy, cache)
-    pw, pb = layers.conv2d_param_grads(dy, cache)
-    assert pw.tobytes() == dw.tobytes()
-    assert pb.tobytes() == db.tobytes()
+    dw, db = layers.conv2d_param_grads(dy, (cols, w))
+    for c in (slice(0, 2), slice(2, 5)):
+        pw, pb = layers.conv2d_param_grads(dy[..., c], (cols, w[..., c]))
+        assert pw.tobytes() == np.ascontiguousarray(dw[..., c]).tobytes()
+        assert pb.tobytes() == db[c].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +495,8 @@ def test_maxpool2_matches_argmax_reference(kind, batch):
         assert np.any(np.signbit(x)) and np.any((x == 0.0) & ~np.signbit(x))
 
 
-def stack_case(kind):
-    """A default-shape model with nonzero conv biases, and 16 frames.
+def stack_case(kind, count):
+    """A default-shape model with nonzero conv biases, and ``count`` frames.
 
     "radar": positive magnitudes with a zeroed band, so whole windows tie at
     the biases.  "ties": conv1 reads only its centre tap and the frames are
@@ -502,12 +507,12 @@ def stack_case(kind):
     p = model.params
     p["conv1_b"] = rng(61).normal(size=p["conv1_b"].shape) * 0.1
     p["conv2_b"] = rng(62).normal(size=p["conv2_b"].shape) * 0.1
-    shape = (16, *DEFAULT.frame_shape)
+    shape = (count, *DEFAULT.frame_shape)
     if kind == "radar":
         frames = rng(63).uniform(0.0, 2000.0, shape)
         frames[:, 24:40] = 0.0
     else:
-        half = rng(63).uniform(0.0, 2000.0, (16, shape[1] // 2, shape[2] // 2, shape[3]))
+        half = rng(63).uniform(0.0, 2000.0, (count, shape[1] // 2, shape[2] // 2, shape[3]))
         frames = half.repeat(2, axis=1).repeat(2, axis=2)
         centre = p["conv1_w"][1, 1].copy()
         p["conv1_w"][...] = 0.0
@@ -516,10 +521,12 @@ def stack_case(kind):
 
 
 @pytest.mark.parametrize("kind", ["radar", "ties"])
-def test_conv_stack_matches_relu_then_pool_oracle(kind):
+@pytest.mark.parametrize("count", [16, 37])
+def test_conv_stack_matches_relu_then_pool_oracle(count, kind):
     # Pooling before ReLU is exact: embeddings, gradients (by tobytes, so
     # -0.0 counts) and one SGD step all match the ReLU-then-pool reference.
-    model, frames = stack_case(kind)
+    # 16 frames are one chunk of the conv stack, 37 two and a 5-frame tail.
+    model, frames = stack_case(kind, count)
     caches = []
     emb = embed_frame(model, frames, caches)
     want, cache = oracle_conv_stack_forward(model.params, frames, DEFAULT.input_scale)
@@ -550,6 +557,50 @@ def test_conv_stack_matches_relu_then_pool_oracle(kind):
         ref[name] -= 3e-2 * want_grads[name]
     for name in ref:
         assert model.params[name].tobytes() == ref[name].tobytes(), name
+
+
+def forward_and_grads(model, x, y):
+    logits, caches = _forward_batch(x, model, with_cache=True)
+    _, dlogits = layers.bce_with_logits(logits, y)
+    return logits, _backward_batch(dlogits, caches, model)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_bytes_do_not_depend_on_worker_count(dtype, monkeypatch):
+    # 5 sequences of 8 frames: chunks of 16, 16 and 8 frames
+    model = TransDopeModel.initialize(DEFAULT, seed=70)
+    model.params = {k: p.astype(dtype) for k, p in model.params.items()}
+    x = random_batch(DEFAULT, 5, seed=71).astype(dtype) * 500.0
+    y = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+    runs = []
+    for workers in (1, tdmodel.WORKERS, 3):
+        with ThreadPoolExecutor(workers) as pool:
+            monkeypatch.setattr(tdmodel, "WORKERS", workers)
+            monkeypatch.setattr(tdmodel, "_pool", pool)
+            runs.append(forward_and_grads(model, x, y))
+    (want_logits, want), *others = runs
+    assert want_logits.dtype == dtype and want["conv1_w"].dtype == dtype
+    for logits, grads in others:
+        assert logits.tobytes() == want_logits.tobytes()
+        assert grads.keys() == want.keys()
+        for name in want:
+            assert grads[name].tobytes() == want[name].tobytes(), name
+
+
+def test_one_chunk_batches_start_no_thread(monkeypatch):
+    # a fresh pool has no thread until something is submitted to it
+    with ThreadPoolExecutor(tdmodel.WORKERS) as pool:
+        monkeypatch.setattr(tdmodel, "_pool", pool)
+        model = TransDopeModel.initialize(DEFAULT, seed=72)
+        clf = SlidingClassifier(model)
+        before = threading.active_count()
+        for frame in random_batch(DEFAULT, 1, seed=73)[0]:
+            clf.push(frame)
+        assert clf.ready
+        forward_batch(random_batch(DEFAULT, 2, seed=74), model)  # 16 frames
+        assert threading.active_count() == before
+        embed_frame(model, random_batch(DEFAULT, 1, seed=75)[0, :1].repeat(17, axis=0))
+        assert threading.active_count() > before
 
 
 # ---------------------------------------------------------------------------
