@@ -35,11 +35,15 @@ depend on neither the chunk size nor the worker count; ``tests/digests.py``
 and the tests hold them to that.  A batch of ``CHUNK_FRAMES`` frames or fewer
 is one chunk and runs on the caller's thread, so the sliding window (one
 frame a push) and batches of up to two default sequences start no thread
-and pay no hand-off to one.
+and pay no hand-off to one.  The first batch on the workers sets numpy's
+OpenBLAS to one thread for the rest of the process (:func:`_one_blas_thread`):
+a BLAS that threads each product as well would oversubscribe the CPUs.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -55,6 +59,12 @@ CONVS = ("conv1", "conv2")  # one per pooling stage
 CHUNK_FRAMES = 16
 WORKERS = len(os.sched_getaffinity(0))  # the CPUs this process may run on
 _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="conv-stack")  # threads start on first use
+# OpenBLAS thread setters: numpy >= 2 wheels, numpy 1.x wheels, a system build
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
 
 class NumericsError(ArithmeticError):
@@ -246,10 +256,35 @@ def _chunks(count: int) -> list[slice]:
     return [slice(start, start + CHUNK_FRAMES) for start in range(0, count, CHUNK_FRAMES)]
 
 
+@functools.cache
+def _one_blas_thread():
+    """Set the OpenBLAS that numpy calls, where it can be found, to one thread.
+
+    Runs once, before the workers first run, and holds for the process.  The
+    workers are the parallelism: BLAS threads on top of them oversubscribe
+    the CPUs, and OpenBLAS runs threaded calls from several threads one at a
+    time.  No byte depends on the BLAS thread count: ``tests/digests.py``
+    prints the same lines with one and with several.  The library is found in
+    ``/proc/self/maps``; where there is none, this does nothing.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return
+    for lib in libs:
+        setter = next((getattr(lib, n) for n in _OPENBLAS_SETTERS if hasattr(lib, n)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
 def _map(fn, parts: list) -> list:
     """``[fn(part) for part in parts]`` on the workers; a lone part runs on this thread."""
     if len(parts) == 1:
         return [fn(parts[0])]
+    _one_blas_thread()
     return list(_pool.map(fn, parts))
 
 
@@ -337,10 +372,11 @@ def _embed_backward(demb: np.ndarray, caches: list, model: TransDopeModel, grads
 def _conv_param_grads(dy: np.ndarray, cache):
     """A convolution's (dw, db), its output channels split across the workers.
 
-    Each entry is still one product (or sum) over every row of the batch.
+    Each entry is still one product (or sum) over every row of the batch.  A
+    one-chunk batch, like its conv stack, stays on this thread.
     """
     cols, w = cache
-    step = -(-w.shape[-1] // WORKERS)
+    step = -(-w.shape[-1] // min(WORKERS, len(_chunks(len(dy)))))
     parts = _map(
         lambda c: layers.conv2d_param_grads(dy[..., c], (cols, w[..., c])),
         [slice(start, start + step) for start in range(0, w.shape[-1], step)],

@@ -1,10 +1,14 @@
 """The sequence classifier: shapes, closed-form sizes, gradients, training."""
 
+import os
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -597,10 +601,46 @@ def test_one_chunk_batches_start_no_thread(monkeypatch):
         for frame in random_batch(DEFAULT, 1, seed=73)[0]:
             clf.push(frame)
         assert clf.ready
-        forward_batch(random_batch(DEFAULT, 2, seed=74), model)  # 16 frames
+        two = random_batch(DEFAULT, 2, seed=74)  # 16 frames
+        forward_batch(two, model)
+        forward_and_grads(model, two, np.array([1.0, 0.0]))
         assert threading.active_count() == before
         embed_frame(model, random_batch(DEFAULT, 1, seed=75)[0, :1].repeat(17, axis=0))
         assert threading.active_count() > before
+
+
+BLAS_THREADS_SCRIPT = """
+import ctypes, numpy as np
+from mmsentry.transdope import model as tdmodel
+paths = {l.split(maxsplit=5)[5].strip() for l in open("/proc/self/maps") if "openblas" in l}
+getters = [getattr(lib, n) for lib in map(ctypes.CDLL, paths) for n in (
+    "scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads",
+) if hasattr(lib, n)]
+for getter in getters:
+    getter.argtypes, getter.restype = [], ctypes.c_int
+count = lambda: getters[0]() if getters else 0
+before = count()
+m = tdmodel.TransDopeModel.initialize(tdmodel.TransDopeConfig(), seed=0)
+tdmodel.embed_frame(m, np.ones((16, *m.config.frame_shape)))
+inline = count()
+tdmodel.embed_frame(m, np.ones((17, *m.config.frame_shape)))
+print(before, inline, count())
+"""
+
+
+def test_workers_take_numpy_blas_to_one_thread():
+    # a fresh process with two BLAS threads: a one-chunk batch leaves them,
+    # the first batch on the workers leaves one
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(tdmodel.__file__).parents[2]), *sys.path])
+    out = subprocess.run(
+        [sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout.split()
+    if out[0] == "0":
+        pytest.skip("numpy does not call an OpenBLAS found in /proc/self/maps")
+    assert out == ["2", "2", "1"]
 
 
 # ---------------------------------------------------------------------------
